@@ -55,7 +55,6 @@ from .models import (
     DiffusionMarginalModel,
     ar_chain_table,
     ar_conditional,
-    ar_copula_conditional,
     dm_marginals_causal,
     dm_marginals_full,
     fit_counts_table,

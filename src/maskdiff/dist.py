@@ -32,6 +32,7 @@ import numpy as np
 from .errors import (
     AlphabetMismatchError,
     CapExceededError,
+    InputFileError,
     InvalidDistributionError,
     PositivityError,
     SupportError,
@@ -117,16 +118,6 @@ def state_to_index(alphabet: Alphabet, tokens: Sequence[int]) -> int:
             raise InvalidDistributionError(f"token {tok} out of range")
         idx = idx * alphabet.num_categories + int(tok)
     return idx
-
-
-def index_to_state(alphabet: Alphabet, index: int) -> tuple[int, ...]:
-    if not 0 <= index < alphabet.num_states:
-        raise InvalidDistributionError(f"state index {index} out of range")
-    out = []
-    for _ in range(alphabet.num_positions):
-        out.append(index % alphabet.num_categories)
-        index //= alphabet.num_categories
-    return tuple(reversed(out))
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,13 +243,6 @@ def entropy(p: JointTable) -> float:
     return float(-np.sum(v[nz] * np.log(v[nz])))
 
 
-def entropy_from_logs(log_probs: np.ndarray) -> float:
-    """Entropy computed from log-probabilities (log-domain path)."""
-    lp = np.asarray(log_probs, dtype=np.float64)
-    finite = np.isfinite(lp)
-    return float(-np.sum(np.exp(lp[finite]) * lp[finite]))
-
-
 def kl(p: JointTable, q: JointTable) -> float:
     """KL(p || q) in nats. Raises SupportError where p puts mass and q none."""
     if p.alphabet != q.alphabet:
@@ -269,17 +253,6 @@ def kl(p: JointTable, q: JointTable) -> float:
     val = float(np.sum(p.probs[mask] * (np.log(p.probs[mask]) - np.log(q.probs[mask]))))
     if val < -1e-9:
         raise InvalidDistributionError(f"KL evaluated to {val}, below rounding slack")
-    return max(val, 0.0)
-
-
-def kl_from_logs(log_p: np.ndarray, log_q: np.ndarray) -> float:
-    """KL from log-probability arrays (-inf encodes zero mass)."""
-    lp = np.asarray(log_p, dtype=np.float64)
-    lq = np.asarray(log_q, dtype=np.float64)
-    mask = np.isfinite(lp)
-    if np.any(~np.isfinite(lq[mask])):
-        raise SupportError("q vanishes on the support of p (KL undefined)")
-    val = float(np.sum(np.exp(lp[mask]) * (lp[mask] - lq[mask])))
     return max(val, 0.0)
 
 
@@ -445,8 +418,30 @@ def dumps_table(p: JointTable) -> str:
     )
 
 
+def read_input(path: str | Path) -> str:
+    """Text of an input file; a missing or unreadable file is an InputFileError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise InputFileError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputFileError(f"{path} is not UTF-8 text") from exc
+
+
+def parse_json_object(text: str, what: str, keys: Sequence[str]) -> dict:
+    """The JSON object in `text`, which must carry `keys`; anything else is an
+    InputFileError naming `what` the document should have been."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputFileError(f"malformed {what} JSON: {exc}") from exc
+    if not isinstance(doc, dict) or any(key not in doc for key in keys):
+        raise InputFileError(f"a {what} must be a JSON object with keys {', '.join(keys)}")
+    return doc
+
+
 def loads_table(text: str) -> JointTable:
-    doc = json.loads(text)
+    doc = parse_json_object(text, "table", ("version", "N", "C", "probs"))
     if doc.get("version") != TABLE_FORMAT_VERSION:
         raise InvalidDistributionError(f"unsupported table version {doc.get('version')!r}")
     alphabet = Alphabet(int(doc["N"]), int(doc["C"]))
@@ -458,4 +453,4 @@ def save_table(p: JointTable, path: str | Path) -> None:
 
 
 def load_table(path: str | Path) -> JointTable:
-    return loads_table(Path(path).read_text(encoding="utf-8"))
+    return loads_table(read_input(path))

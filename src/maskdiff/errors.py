@@ -46,3 +46,7 @@ class DegenerateMarginalError(MaskDiffError):
 
 class ConfigError(MaskDiffError, ValueError):
     """Malformed configuration: unknown section/key or unparsable value."""
+
+
+class InputFileError(MaskDiffError):
+    """An input file is missing or unreadable, or its contents are malformed."""

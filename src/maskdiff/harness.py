@@ -110,9 +110,10 @@ def gen_data(spec: SyntheticSpec) -> JointTable:
 # Exact step-count diagnostics
 # ---------------------------------------------------------------------------
 
-def _reachable_states(
+def reachable_states(
     data: JointTable, t: int, sched: NoiseSchedule
 ) -> Iterable[tuple[SequenceState, float]]:
+    """Every state x_t with q(x_t) > 0, in table order, with its probability."""
     qt = forward_state_distribution(data, t, sched)
     states = all_states(qt.alphabet)
     for idx in np.nonzero(qt.probs)[0]:
@@ -124,7 +125,7 @@ def elbo_bound(data: JointTable, sched: NoiseSchedule) -> float:
     """H(data) + sum_{t=1..T} E_{x_t}[TC(q(X_{t-1} | x_t))], exactly."""
     total = entropy(data)
     for t in range(1, sched.steps + 1):
-        for x_t, weight in _reachable_states(data, t, sched):
+        for x_t, weight in reachable_states(data, t, sched):
             post = brute_reverse_posterior(data, x_t, sched, t - 1)
             total += weight * total_correlation(post)
     return total
@@ -152,7 +153,7 @@ def nelbo_factorized(
     distribution, summed over steps."""
     total = entropy(data)
     for t in range(1, sched.steps + 1):
-        for x_t, weight in _reachable_states(data, t, sched):
+        for x_t, weight in reachable_states(data, t, sched):
             post = brute_reverse_posterior(data, x_t, sched, t - 1)
             rows = denoiser(x_t)
             if not rows.includes_mask:

@@ -28,7 +28,6 @@ serves several beta values.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -39,7 +38,6 @@ from .dist import (
     MarginalSet,
     POSITIVITY_FLOOR,
     all_states,
-    format_float,
 )
 from .errors import AlphabetMismatchError, InvalidDistributionError, PositivityError
 
@@ -83,12 +81,6 @@ class FactorMatrix:
         """Equivalent representation with zero-mean rows (same projection)."""
         return FactorMatrix(self.values - self.values.mean(axis=1, keepdims=True), self.beta)
 
-    def with_beta(self, beta: float) -> "FactorMatrix":
-        return FactorMatrix(self.values, beta)
-
-    def max_row_norm(self) -> float:
-        return float(np.max(np.abs(self.values))) if self.values.size else 0.0
-
 
 @dataclass(frozen=True)
 class IprojReport:
@@ -96,16 +88,6 @@ class IprojReport:
     max_marginal_gap: float
     objective: float
     converged: bool
-
-    def dumps(self) -> str:
-        return (
-            "{"
-            + f'"iterations": {self.iterations}, '
-            + f'"max_marginal_gap": {format_float(self.max_marginal_gap)}, '
-            + f'"objective": {format_float(self.objective)}, '
-            + f'"converged": {"true" if self.converged else "false"}'
-            + "}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -335,17 +317,3 @@ def dcd_factors(full: MarginalSet, causal: MarginalSet, beta: float = 1.0) -> Fa
         [rankwise_update(full.rows[i], causal.rows[i]) for i in range(full.num_positions)]
     )
     return FactorMatrix(values, beta)
-
-
-def report_to_json(report: IprojReport) -> str:
-    return report.dumps()
-
-
-def load_report(text: str) -> IprojReport:
-    doc = json.loads(text)
-    return IprojReport(
-        iterations=int(doc["iterations"]),
-        max_marginal_gap=float(doc["max_marginal_gap"]),
-        objective=float(doc["objective"]),
-        converged=bool(doc["converged"]),
-    )

@@ -16,10 +16,9 @@ Corpus files hold one sequence per line as N space-separated integer tokens
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, TypeVar
 
 import numpy as np
 
@@ -28,15 +27,17 @@ from .dist import (
     JointTable,
     MarginalSet,
     format_float,
+    parse_json_object,
+    read_input,
     univariate_marginals,
 )
 from .errors import (
     AlphabetMismatchError,
-    ClampError,
+    InputFileError,
     InvalidDistributionError,
     SupportError,
 )
-from .noising import NoiseSchedule, SequenceState, aux_posterior
+from .noising import SequenceState, aux_posterior
 
 MODEL_FORMAT_VERSION = 1
 KIND_EXACT = "exact"
@@ -73,7 +74,7 @@ def save_corpus(sequences: np.ndarray, path: str | Path) -> None:
 
 def load_corpus(path: str | Path) -> np.ndarray:
     rows = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_input(path).splitlines(), 1):
         line = line.strip()
         if not line:
             continue
@@ -81,7 +82,9 @@ def load_corpus(path: str | Path) -> np.ndarray:
             rows.append([int(tok) for tok in line.split()])
         except ValueError as exc:
             raise InvalidDistributionError(f"bad corpus line {lineno}: {line!r}") from exc
-    if rows and len({len(r) for r in rows}) != 1:
+    if not rows:
+        raise InputFileError(f"corpus {path} holds no sequences")
+    if len({len(r) for r in rows}) != 1:
         raise InvalidDistributionError("corpus lines have inconsistent lengths")
     return np.asarray(rows, dtype=np.int64)
 
@@ -98,7 +101,7 @@ def _dump_model_doc(kind: str, table: JointTable) -> str:
 
 
 def load_model_file(path: str | Path) -> tuple[str, JointTable]:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = parse_json_object(read_input(path), "model", ("version", "kind", "N", "C", "payload"))
     if doc.get("version") != MODEL_FORMAT_VERSION:
         raise InvalidDistributionError(f"unsupported model version {doc.get('version')!r}")
     kind = doc.get("kind")
@@ -112,52 +115,13 @@ def load_model_file(path: str | Path) -> tuple[str, JointTable]:
 _QUERY_CACHE_CAP = 4096
 
 
-@dataclass(frozen=True, eq=False)
-class DiffusionMarginalModel:
-    """Marginal provider over the content layer; `schedule` records which
-    noise schedule the model serves (metadata; the exact marginals are
-    schedule-free). Queries are pure, so answers are memoized per context."""
-
-    table: JointTable
-    kind: str = KIND_EXACT
-    schedule: NoiseSchedule | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_query_cache", {})
-
-    @property
-    def alphabet(self) -> Alphabet:
-        return self.table.alphabet
-
-    @classmethod
-    def exact(
-        cls, table: JointTable, schedule: NoiseSchedule | None = None
-    ) -> "DiffusionMarginalModel":
-        return cls(table, KIND_EXACT, schedule)
-
-    @classmethod
-    def from_corpus(
-        cls,
-        sequences: np.ndarray,
-        alphabet: Alphabet,
-        smoothing: float = 1.0,
-        schedule: NoiseSchedule | None = None,
-    ) -> "DiffusionMarginalModel":
-        return cls(fit_counts_table(sequences, alphabet, smoothing), KIND_COUNTS, schedule)
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(_dump_model_doc(self.kind, self.table) + "\n", encoding="utf-8")
-
-    @classmethod
-    def load(cls, path: str | Path, schedule: NoiseSchedule | None = None) -> "DiffusionMarginalModel":
-        kind, table = load_model_file(path)
-        return cls(table, kind, schedule)
+_Model = TypeVar("_Model", bound="_TableModel")
 
 
 @dataclass(frozen=True, eq=False)
-class ARCopulaModel:
-    """Left-to-right conditional provider p(x_i | x_<i) over data tokens.
-    Queries are pure and memoized per prefix."""
+class _TableModel:
+    """A query provider backed by one joint table, "exact" or "counts".
+    Queries are pure, so answers are memoized per context."""
 
     table: JointTable
     kind: str = KIND_EXACT
@@ -170,22 +134,32 @@ class ARCopulaModel:
         return self.table.alphabet
 
     @classmethod
-    def exact(cls, table: JointTable) -> "ARCopulaModel":
+    def exact(cls: type[_Model], table: JointTable) -> _Model:
         return cls(table, KIND_EXACT)
 
     @classmethod
     def from_corpus(
-        cls, sequences: np.ndarray, alphabet: Alphabet, smoothing: float = 1.0
-    ) -> "ARCopulaModel":
+        cls: type[_Model], sequences: np.ndarray, alphabet: Alphabet, smoothing: float = 1.0
+    ) -> _Model:
         return cls(fit_counts_table(sequences, alphabet, smoothing), KIND_COUNTS)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(_dump_model_doc(self.kind, self.table) + "\n", encoding="utf-8")
 
     @classmethod
-    def load(cls, path: str | Path) -> "ARCopulaModel":
+    def load(cls: type[_Model], path: str | Path) -> _Model:
         kind, table = load_model_file(path)
         return cls(table, kind)
+
+
+class DiffusionMarginalModel(_TableModel):
+    """Marginal provider over the content layer; the exact marginals are
+    schedule-free."""
+
+
+class ARCopulaModel(_TableModel):
+    """Left-to-right conditional provider p(x_i | x_<i) over data tokens,
+    memoized per prefix."""
 
 
 # ---------------------------------------------------------------------------
@@ -271,28 +245,6 @@ def ar_conditional(model: ARCopulaModel, prefix: Sequence[int], i: int) -> np.nd
     if len(cache) < _QUERY_CACHE_CAP:
         cache[key] = row
     return row
-
-
-def ar_copula_conditional(
-    model: ARCopulaModel,
-    x_next: SequenceState,
-    prefix: Sequence[int],
-    i: int,
-) -> np.ndarray:
-    """Conditional of the copula distribution clamped to the unmasked tokens
-    of x_{t+1}: a point mass at x_{t+1}^i when i is unmasked, otherwise the
-    plain left-to-right conditional on the (clamp-respecting) prefix."""
-    if x_next.alphabet != model.alphabet:
-        raise AlphabetMismatchError("state and model disagree on the alphabet")
-    c = model.alphabet.num_categories
-    for j in x_next.unmasked_positions:
-        if j < i and int(prefix[j]) != x_next.tokens[j]:
-            raise ClampError(f"prefix violates the clamp at position {j}")
-    if not x_next.is_masked(i):
-        row = np.zeros(c, dtype=np.float64)
-        row[x_next.tokens[i]] = 1.0
-        return row
-    return ar_conditional(model, prefix, i)
 
 
 def ar_chain_table(model: ARCopulaModel) -> JointTable:

@@ -258,24 +258,6 @@ class RemaskDistribution:
                     tokens[i] = mask
         return SequenceState(tuple(tokens), self.time, self.x_next.alphabet)
 
-    def prob(self, state: SequenceState) -> float:
-        if state.time != self.time or state.alphabet != self.x_next.alphabet:
-            raise AlphabetMismatchError("state does not match this kernel")
-        mask = self.x_next.alphabet.mask_index
-        for j in self.x_next.unmasked_positions:
-            if state.tokens[j] != self.x_next.tokens[j]:
-                return 0.0
-        p = 1.0
-        for group in self.mask_chunks:
-            got = [state.tokens[i] for i in group]
-            if all(tok == mask for tok in got):
-                p *= self.ratio
-            elif all(state.tokens[i] == self.x_tilde.tokens[i] for i in group):
-                p *= 1.0 - self.ratio
-            else:
-                return 0.0
-        return p
-
     def support(self) -> Iterator[tuple[SequenceState, float]]:
         """All outcomes with positive probability (2**num_chunks at most)."""
         mask = self.x_next.alphabet.mask_index

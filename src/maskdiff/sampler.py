@@ -1,24 +1,32 @@
 """Reverse-time samplers over the absorbing-mask process.
 
 Every run starts from the all-mask prior at time T and walks t = T-1 .. 0.
-Four modes share that skeleton:
+Each mode defines its reverse step at x_{t+1} once, as a `StepLaw` with
+three parts: the positions the content layer fills (unmasked positions of
+x_{t+1} are clamped), the row each masked position is drawn from, and how
+the step ends.
 
-  dcd            at each step, query the marginal model twice (full context
-                 and causal context), form V[i,c] = log full_i(c) -
-                 log causal_i(c), then sample the content layer left to
-                 right from copula(x_i | prefix) * exp(beta * V[i, x_i])
-                 with unmasked positions clamped, and finally re-mask
-                 through the exact reverse kernel.
-  diffusion_only content layer drawn per position from the full-context
-                 marginals, independently; dependencies are ignored.
-  ar_only        a single left-to-right pass from the copula model.
-  dcd_ar_unmask  the re-masking kernel is replaced by a deterministic
-                 left-to-right unmask boundary per step, so each position's
-                 copula conditional is computed exactly once across the
-                 whole run (N queries total, independent of T).
+  dcd            fills all N positions from copula(x_i | prefix) *
+                 exp(beta * V[i, x_i]), where V[i,c] = log full_i(c) -
+                 log causal_i(c) comes from querying the marginal model twice
+                 (full and causal context); ends in the exact reverse
+                 re-mask kernel.
+  diffusion_only fills all N positions from the full-context marginals,
+                 independently (dependencies are ignored); ends in the
+                 re-mask kernel.
+  ar_only        a single step from the prior straight to time 0: every
+                 position from the plain copula conditionals.
+  dcd_ar_unmask  fills dcd's fused rows only up to a deterministic
+                 left-to-right unmask boundary per step and leaves the rest
+                 MASK, so each position's copula conditional is computed
+                 exactly once across the whole run (N queries total,
+                 independent of T).
 
-`enumerate_step_distribution` reproduces the per-step law exactly by
-enumeration; the dynamic-programming evaluation in the harness builds on it.
+One left-to-right walker consumes a law. `sample` draws one category per
+masked position; `enumerate_aux_distribution` and
+`enumerate_step_distribution` keep every category with positive mass and so
+give the per-step law exactly. The dynamic-programming evaluation in the
+harness builds on them.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from math import ceil
-from typing import Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -98,14 +106,6 @@ class SampleTrace:
     def copula_queries_total(self) -> int:
         return sum(rec.copula_queries for rec in self.steps)
 
-    @property
-    def factor_matrices(self) -> list[FactorMatrix | None]:
-        return [rec.factors for rec in self.steps]
-
-    @property
-    def marginal_sets(self) -> list[tuple[MarginalSet | None, MarginalSet | None]]:
-        return [(rec.full, rec.causal) for rec in self.steps]
-
     def dumps(self) -> str:
         lines = [f"mode={self.mode} seed={self.seed} beta={format_float(self.beta)}"]
         lines.append(_fmt_state("state", self.states[0]))
@@ -139,115 +139,96 @@ def _fmt_rows(label: str, rows: np.ndarray) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Per-position fused rows
+# Step laws
 # ---------------------------------------------------------------------------
 
-def _fused_row(
-    copula: ARCopulaModel,
-    prefix: Sequence[int],
-    i: int,
-    factors: FactorMatrix,
-) -> np.ndarray:
-    """copula(x_i | prefix) reweighted by exp(beta * V[i, .]), normalized."""
-    row = ar_conditional(copula, prefix, i)
-    weights = row * np.exp(factors.beta * factors.values[i])
-    total = float(weights.sum())
-    if total <= 0.0:
-        raise SupportError(f"fused row at position {i} has no mass")
-    return weights / total
+@dataclass(frozen=True)
+class StepLaw:
+    """One reverse step at x_{t+1}. The content layer fills positions
+    [0, fill): positions unmasked in x_{t+1} are clamped, masked ones are
+    drawn from `row`. With `remask` set the step ends in the exact re-mask
+    kernel of that schedule; without it, positions >= fill stay MASK."""
+
+    x_next: SequenceState
+    t: int
+    fill: int
+    remask: NoiseSchedule | None
+    copula: ARCopulaModel | None = None  # rows are copula conditionals ...
+    factors: FactorMatrix | None = None  # ... reweighted by exp(beta * V)
+    full: MarginalSet | None = None  # rows when there is no copula
+    causal: MarginalSet | None = None
+
+    def row(self, i: int, prefix: tuple[int, ...]) -> np.ndarray:
+        if self.copula is None:
+            return self.full.rows[i]
+        row = ar_conditional(self.copula, prefix, i)
+        if self.factors is None:
+            return row
+        weights = row * np.exp(self.factors.beta * self.factors.values[i])
+        total = float(weights.sum())
+        if total <= 0.0:
+            raise SupportError(f"fused row at position {i} has no mass")
+        return weights / total
+
+    @property
+    def copula_queries(self) -> int:
+        """Copula conditionals a single drawn content layer asks for."""
+        if self.copula is None:
+            return 0
+        return sum(self.x_next.is_masked(i) for i in range(self.fill))
 
 
-def _sample_categorical(row: np.ndarray, rng: np.random.Generator) -> int:
-    return int(rng.choice(len(row), p=row / row.sum()))
-
-
-# ---------------------------------------------------------------------------
-# Steps
-# ---------------------------------------------------------------------------
-
-def dcd_step(
-    dm: DiffusionMarginalModel,
-    copula: ARCopulaModel,
+def _fused_law(
+    dm: DiffusionMarginalModel | None,
+    copula: ARCopulaModel | None,
     x_next: SequenceState,
     t: int,
     cfg: SamplerConfig,
-    rng: np.random.Generator,
-) -> tuple[SequenceState, StepRecord]:
+    fill: int,
+    remask: NoiseSchedule | None,
+) -> StepLaw:
     full = dm_marginals_full(dm, x_next, t)
     causal = dm_marginals_causal(dm, x_next, t)
     factors = dcd_factors(full, causal, cfg.beta)
-    n = x_next.alphabet.num_positions
-    queries = 0
-    prefix: list[int] = []
-    for i in range(n):
-        if not x_next.is_masked(i):
-            prefix.append(x_next.tokens[i])
-        else:
-            row = _fused_row(copula, prefix, i, factors)
-            queries += 1
-            prefix.append(_sample_categorical(row, rng))
-    x_tilde = AuxSequence(tuple(prefix), t, x_next.alphabet)
-    x_t = remask_kernel(x_tilde, x_next, cfg.schedule, t).sample(rng)
-    rec = StepRecord(t, x_next, x_t, x_tilde, factors, full, causal, queries)
-    return x_t, rec
+    return StepLaw(x_next, t, fill, remask, copula, factors, full, causal)
+
+
+def dcd_step(
+    dm: DiffusionMarginalModel | None,
+    copula: ARCopulaModel | None,
+    x_next: SequenceState,
+    t: int,
+    cfg: SamplerConfig,
+) -> StepLaw:
+    return _fused_law(dm, copula, x_next, t, cfg, x_next.alphabet.num_positions, cfg.schedule)
 
 
 def diffusion_only_step(
-    dm: DiffusionMarginalModel,
+    dm: DiffusionMarginalModel | None,
+    copula: ARCopulaModel | None,
     x_next: SequenceState,
     t: int,
     cfg: SamplerConfig,
-    rng: np.random.Generator,
-) -> tuple[SequenceState, StepRecord]:
+) -> StepLaw:
     full = dm_marginals_full(dm, x_next, t)
-    tokens: list[int] = []
-    for i in range(x_next.alphabet.num_positions):
-        if not x_next.is_masked(i):
-            tokens.append(x_next.tokens[i])
-        else:
-            tokens.append(_sample_categorical(full.rows[i], rng))
-    x_tilde = AuxSequence(tuple(tokens), t, x_next.alphabet)
-    x_t = remask_kernel(x_tilde, x_next, cfg.schedule, t).sample(rng)
-    rec = StepRecord(t, x_next, x_t, x_tilde, None, full, None, 0)
-    return x_t, rec
-
-
-def _ar_unmask_bounds(n: int, steps: int, t: int) -> tuple[int, int]:
-    """Unmasked prefix lengths of x_{t+1} and x_t under the boundary rule."""
-    boundaries = ar_unmask_schedule(n, steps)
-    prev = 0 if t + 1 >= steps else boundaries[steps - 2 - t]
-    return prev, boundaries[steps - 1 - t]
+    return StepLaw(x_next, t, x_next.alphabet.num_positions, cfg.schedule, full=full)
 
 
 def dcd_ar_unmask_step(
-    dm: DiffusionMarginalModel,
-    copula: ARCopulaModel,
+    dm: DiffusionMarginalModel | None,
+    copula: ARCopulaModel | None,
     x_next: SequenceState,
     t: int,
     cfg: SamplerConfig,
-    rng: np.random.Generator,
-) -> tuple[SequenceState, StepRecord]:
-    n = x_next.alphabet.num_positions
-    mask = x_next.alphabet.mask_index
-    prev_u, new_u = _ar_unmask_bounds(n, cfg.steps, t)
+) -> StepLaw:
+    bounds = (0,) + ar_unmask_schedule(x_next.alphabet.num_positions, cfg.steps)
+    prev_u, new_u = bounds[cfg.steps - 1 - t], bounds[cfg.steps - t]
     if x_next.unmasked_positions != tuple(range(prev_u)):
         raise ClampError(
             "dcd_ar_unmask expects an unmasked prefix of length "
             f"{prev_u}, got positions {x_next.unmasked_positions}"
         )
-    full = dm_marginals_full(dm, x_next, t)
-    causal = dm_marginals_causal(dm, x_next, t)
-    factors = dcd_factors(full, causal, cfg.beta)
-    prefix = list(x_next.tokens[:prev_u])
-    queries = 0
-    for i in range(prev_u, new_u):
-        row = _fused_row(copula, prefix, i, factors)
-        queries += 1
-        prefix.append(_sample_categorical(row, rng))
-    tokens = tuple(prefix) + (mask,) * (n - new_u)
-    x_t = SequenceState(tokens, t, x_next.alphabet)
-    rec = StepRecord(t, x_next, x_t, None, factors, full, causal, queries)
-    return x_t, rec
+    return _fused_law(dm, copula, x_next, t, cfg, new_u, None)
 
 
 def ar_unmask_schedule(num_positions: int, steps: int) -> tuple[int, ...]:
@@ -256,6 +237,59 @@ def ar_unmask_schedule(num_positions: int, steps: int) -> tuple[int, ...]:
     if num_positions < 1 or steps < 1:
         raise InvalidDistributionError("need num_positions >= 1 and steps >= 1")
     return tuple(ceil(num_positions * k / steps) for k in range(1, steps + 1))
+
+
+def _step_law(
+    dm: DiffusionMarginalModel | None,
+    copula: ARCopulaModel | None,
+    x_next: SequenceState,
+    t: int,
+    cfg: SamplerConfig,
+) -> StepLaw:
+    if cfg.mode == MODE_DCD:
+        return dcd_step(dm, copula, x_next, t, cfg)
+    if cfg.mode == MODE_DIFFUSION_ONLY:
+        return diffusion_only_step(dm, copula, x_next, t, cfg)
+    if cfg.mode == MODE_DCD_AR_UNMASK:
+        return dcd_ar_unmask_step(dm, copula, x_next, t, cfg)
+    # ar_only: every position from the plain copula conditionals, no re-mask
+    return StepLaw(x_next, t, x_next.alphabet.num_positions, None, copula)
+
+
+Pick = Callable[[np.ndarray], Iterable[int]]
+
+
+def _walk(law: StepLaw, pick: Pick) -> list[tuple[tuple[int, ...], float]]:
+    """Content layers of `law` with their weights, filled left to right and
+    breadth-first: each path extends by the categories `pick` chooses from
+    its row. Paths come out in lexicographic order."""
+    x_next = law.x_next
+    paths: list[tuple[tuple[int, ...], float]] = [((), 1.0)]
+    for i in range(law.fill):
+        if not x_next.is_masked(i):
+            paths = [(prefix + (x_next.tokens[i],), weight) for prefix, weight in paths]
+            continue
+        grown = []
+        for prefix, weight in paths:
+            row = law.row(i, prefix)
+            grown.extend((prefix + (cat,), weight * float(row[cat])) for cat in pick(row))
+        paths = grown
+    return paths
+
+
+def _every_category(row: np.ndarray) -> list[int]:
+    return [cat for cat in range(len(row)) if row[cat] > 0.0]
+
+
+def _sample_categorical(row: np.ndarray, rng: np.random.Generator) -> int:
+    return int(rng.choice(len(row), p=row / row.sum()))
+
+
+def _padded(law: StepLaw, tokens: tuple[int, ...]) -> SequenceState:
+    """x_t of a step without re-masking: positions >= fill stay MASK."""
+    alphabet = law.x_next.alphabet
+    pad = (alphabet.mask_index,) * (alphabet.num_positions - law.fill)
+    return SequenceState(tokens + pad, law.t, alphabet)
 
 
 # ---------------------------------------------------------------------------
@@ -289,35 +323,27 @@ def sample(
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
 
+    def draw(row: np.ndarray) -> tuple[int]:
+        return (_sample_categorical(row, rng),)
+
     trace = SampleTrace(cfg.mode, cfg.seed, cfg.beta)
     x = SequenceState.all_masked(alphabet, cfg.steps)
     trace.states.append(x)
-
-    if cfg.mode == MODE_AR_ONLY:
-        assert copula is not None
-        tokens: list[int] = []
-        for i in range(alphabet.num_positions):
-            row = ar_conditional(copula, tokens, i)
-            tokens.append(_sample_categorical(row, rng))
-        x0 = SequenceState.from_data(tokens, alphabet)
-        trace.steps.append(
-            StepRecord(0, x, x0, None, None, None, None, alphabet.num_positions)
-        )
-        trace.states.append(x0)
-        return x0, trace
-
-    for t in reversed(range(cfg.steps)):
-        if cfg.mode == MODE_DCD:
-            assert dm is not None and copula is not None
-            x, rec = dcd_step(dm, copula, x, t, cfg, rng)
-        elif cfg.mode == MODE_DIFFUSION_ONLY:
-            assert dm is not None
-            x, rec = diffusion_only_step(dm, x, t, cfg, rng)
+    # ar_only takes a single step from the prior straight to time 0
+    for t in (0,) if cfg.mode == MODE_AR_ONLY else reversed(range(cfg.steps)):
+        law = _step_law(dm, copula, x, t, cfg)
+        [(tokens, _)] = _walk(law, draw)
+        x_tilde = None
+        if law.remask is None:
+            x_t = _padded(law, tokens)
         else:
-            assert dm is not None and copula is not None
-            x, rec = dcd_ar_unmask_step(dm, copula, x, t, cfg, rng)
-        trace.steps.append(rec)
-        trace.states.append(x)
+            x_tilde = AuxSequence(tokens, t, alphabet)
+            x_t = remask_kernel(x_tilde, x, law.remask, t).sample(rng)
+        trace.steps.append(
+            StepRecord(t, x, x_t, x_tilde, law.factors, law.full, law.causal, law.copula_queries)
+        )
+        trace.states.append(x_t)
+        x = x_t
     return x, trace
 
 
@@ -334,43 +360,9 @@ def enumerate_aux_distribution(
 ) -> dict[tuple[int, ...], float]:
     """Exact law of the content layer x~_t produced by one dcd or
     diffusion_only step at x_{t+1}."""
-    if cfg.mode == MODE_DCD:
-        assert dm is not None and copula is not None
-        full = dm_marginals_full(dm, x_next, t)
-        causal = dm_marginals_causal(dm, x_next, t)
-        factors = dcd_factors(full, causal, cfg.beta)
-
-        def row_for(i: int, prefix: tuple[int, ...]) -> np.ndarray:
-            return _fused_row(copula, prefix, i, factors)
-
-    elif cfg.mode == MODE_DIFFUSION_ONLY:
-        assert dm is not None
-        full = dm_marginals_full(dm, x_next, t)
-
-        def row_for(i: int, prefix: tuple[int, ...]) -> np.ndarray:
-            return full.rows[i]
-
-    else:
+    if cfg.mode not in (MODE_DCD, MODE_DIFFUSION_ONLY):
         raise InvalidDistributionError(f"no aux layer to enumerate for mode {cfg.mode!r}")
-
-    n = x_next.alphabet.num_positions
-    out: dict[tuple[int, ...], float] = {}
-
-    def recurse(prefix: tuple[int, ...], weight: float) -> None:
-        i = len(prefix)
-        if i == n:
-            out[prefix] = weight
-            return
-        if not x_next.is_masked(i):
-            recurse(prefix + (x_next.tokens[i],), weight)
-            return
-        row = row_for(i, prefix)
-        for cat in range(len(row)):
-            if row[cat] > 0.0:
-                recurse(prefix + (cat,), weight * float(row[cat]))
-
-    recurse((), 1.0)
-    return out
+    return dict(_walk(_step_law(dm, copula, x_next, t, cfg), _every_category))
 
 
 def enumerate_step_distribution(
@@ -380,40 +372,17 @@ def enumerate_step_distribution(
     t: int,
     cfg: SamplerConfig,
 ) -> dict[SequenceState, float]:
-    """Exact law of x_t produced by one step of cfg.mode at x_{t+1}."""
-    if cfg.mode in (MODE_DCD, MODE_DIFFUSION_ONLY):
-        aux = enumerate_aux_distribution(dm, copula, x_next, t, cfg)
-        out: dict[SequenceState, float] = defaultdict(float)
-        for tokens, weight in aux.items():
-            kernel = remask_kernel(
-                AuxSequence(tokens, t, x_next.alphabet), x_next, cfg.schedule, t
-            )
-            for state, p in kernel.support():
-                out[state] += weight * p
-        return dict(out)
-    if cfg.mode == MODE_DCD_AR_UNMASK:
-        assert dm is not None and copula is not None
-        n = x_next.alphabet.num_positions
-        mask = x_next.alphabet.mask_index
-        prev_u, new_u = _ar_unmask_bounds(n, cfg.steps, t)
-        if x_next.unmasked_positions != tuple(range(prev_u)):
-            raise ClampError("state is not in ar-unmask prefix form")
-        full = dm_marginals_full(dm, x_next, t)
-        causal = dm_marginals_causal(dm, x_next, t)
-        factors = dcd_factors(full, causal, cfg.beta)
-        out_ar: dict[SequenceState, float] = {}
-
-        def recurse(prefix: tuple[int, ...], weight: float) -> None:
-            i = len(prefix)
-            if i == new_u:
-                tokens = prefix + (mask,) * (n - new_u)
-                out_ar[SequenceState(tokens, t, x_next.alphabet)] = weight
-                return
-            row = _fused_row(copula, prefix, i, factors)
-            for cat in range(len(row)):
-                if row[cat] > 0.0:
-                    recurse(prefix + (cat,), weight * float(row[cat]))
-
-        recurse(tuple(x_next.tokens[:prev_u]), 1.0)
-        return out_ar
-    raise InvalidDistributionError(f"no per-step law for mode {cfg.mode!r}")
+    """Exact law of x_t produced by one step of cfg.mode at x_{t+1}. ar_only
+    has no such law: its single step runs from the prior straight to time 0."""
+    if cfg.mode == MODE_AR_ONLY:
+        raise InvalidDistributionError(f"no per-step law for mode {cfg.mode!r}")
+    law = _step_law(dm, copula, x_next, t, cfg)
+    out: dict[SequenceState, float] = defaultdict(float)
+    for tokens, weight in _walk(law, _every_category):
+        if law.remask is None:
+            out[_padded(law, tokens)] += weight
+            continue
+        kernel = remask_kernel(AuxSequence(tokens, t, x_next.alphabet), x_next, law.remask, t)
+        for state, p in kernel.support():
+            out[state] += weight * p
+    return dict(out)

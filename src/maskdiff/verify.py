@@ -44,6 +44,7 @@ from .harness import (
     gen_data,
     nelbo_factorized,
     optimal_factorized_denoiser,
+    reachable_states,
 )
 from .iproj import (
     FactorMatrix,
@@ -57,7 +58,6 @@ from .noising import (
     SequenceState,
     aux_posterior,
     brute_reverse_posterior,
-    forward_state_distribution,
     make_schedule,
     remask_kernel,
     renormalize_marginals,
@@ -225,13 +225,18 @@ def suite_prop4() -> list[CheckResult]:
     return out
 
 
-def _reachable(data: JointTable, t: int, sched) -> list[SequenceState]:
-    qt = forward_state_distribution(data, t, sched)
-    states = all_states(qt.alphabet)
-    return [
-        SequenceState(tuple(int(v) for v in states[i]), t, data.alphabet)
-        for i in np.nonzero(qt.probs)[0]
-    ]
+def _factorization_gap(data: JointTable, x_next: SequenceState, sched, t: int) -> float:
+    """Max deviation between the brute posterior q(x_t | x_{t+1}) and the
+    auxiliary posterior pushed through the re-mask kernel."""
+    brute = brute_reverse_posterior(data, x_next, sched, t)
+    aux = aux_posterior(data, x_next)
+    combined = np.zeros(brute.alphabet.num_states)
+    aux_states = all_states(data.alphabet)
+    for idx in np.nonzero(aux.probs)[0]:
+        x_tilde = AuxSequence(tuple(int(v) for v in aux_states[idx]), t, data.alphabet)
+        for state, p in remask_kernel(x_tilde, x_next, sched, t).support():
+            combined[state_to_index(brute.alphabet, state.tokens)] += aux.probs[idx] * p
+    return float(np.max(np.abs(combined - brute.probs)))
 
 
 def suite_prop5() -> list[CheckResult]:
@@ -241,17 +246,8 @@ def suite_prop5() -> list[CheckResult]:
     worst = 0.0
     checked = 0
     for t in range(sched.steps):
-        for x_next in _reachable(data, t + 1, sched):
-            brute = brute_reverse_posterior(data, x_next, sched, t)
-            aux = aux_posterior(data, x_next)
-            combined = np.zeros(brute.alphabet.num_states)
-            aux_states = all_states(data.alphabet)
-            for idx in np.nonzero(aux.probs)[0]:
-                x_tilde = AuxSequence(tuple(int(v) for v in aux_states[idx]), t, data.alphabet)
-                kern = remask_kernel(x_tilde, x_next, sched, t)
-                for state, p in kern.support():
-                    combined[state_to_index(brute.alphabet, state.tokens)] += aux.probs[idx] * p
-            worst = max(worst, float(np.max(np.abs(combined - brute.probs))))
+        for x_next, _ in reachable_states(data, t + 1, sched):
+            worst = max(worst, _factorization_gap(data, x_next, sched, t))
             checked += 1
     _check(out, "prop5", "factorization_identity", worst < 1e-10,
            f"max dev {worst:.3e} over {checked} contexts")
@@ -259,7 +255,7 @@ def suite_prop5() -> list[CheckResult]:
     rng = np.random.default_rng(505)
     ok = True
     for t in range(sched.steps):
-        for x_next in _reachable(data, t + 1, sched):
+        for x_next, _ in reachable_states(data, t + 1, sched):
             tokens = [
                 x_next.tokens[i] if not x_next.is_masked(i) else int(rng.integers(0, 2))
                 for i in range(3)
@@ -274,17 +270,8 @@ def suite_prop5() -> list[CheckResult]:
     sched_c = make_schedule("linear", 2, chunk_size=2)
     worst_c = 0.0
     for t in range(sched_c.steps):
-        for x_next in _reachable(data4, t + 1, sched_c):
-            brute = brute_reverse_posterior(data4, x_next, sched_c, t)
-            aux = aux_posterior(data4, x_next)
-            combined = np.zeros(brute.alphabet.num_states)
-            aux_states = all_states(data4.alphabet)
-            for idx in np.nonzero(aux.probs)[0]:
-                x_tilde = AuxSequence(tuple(int(v) for v in aux_states[idx]), t, data4.alphabet)
-                kern = remask_kernel(x_tilde, x_next, sched_c, t)
-                for state, p in kern.support():
-                    combined[state_to_index(brute.alphabet, state.tokens)] += aux.probs[idx] * p
-            worst_c = max(worst_c, float(np.max(np.abs(combined - brute.probs))))
+        for x_next, _ in reachable_states(data4, t + 1, sched_c):
+            worst_c = max(worst_c, _factorization_gap(data4, x_next, sched_c, t))
     _check(out, "prop5", "factorization_identity_chunked", worst_c < 1e-10,
            f"max dev {worst_c:.3e}")
     return out
@@ -296,7 +283,7 @@ def suite_prop6() -> list[CheckResult]:
     sched = make_schedule("linear", 3)
     worst = 0.0
     for t in range(sched.steps):
-        for x_next in _reachable(data, t + 1, sched):
+        for x_next, _ in reachable_states(data, t + 1, sched):
             brute = brute_reverse_posterior(data, x_next, sched, t)
             with_mask = univariate_marginals(brute, includes_mask=True)
             renorm = renormalize_marginals(with_mask, x_next.partition())

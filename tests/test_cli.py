@@ -63,6 +63,27 @@ def test_fit_corpus_requires_num_categories(tmp_path):
     assert run(["fit", "--corpus", str(corpus), "--out", str(tmp_path / "m.json")]) == 2
 
 
+def test_fit_empty_corpus_is_exit_2(tmp_path, capsys):
+    corpus = tmp_path / "empty.txt"
+    corpus.write_text("\n")
+    assert run(["fit", "--corpus", str(corpus), "--num-categories", "2",
+                "--out", str(tmp_path / "m.json")]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_eval_missing_data_file_is_exit_2(tmp_path, capsys):
+    assert run(["eval", "--data", str(tmp_path / "missing.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "missing.json" in err
+
+
+def test_eval_malformed_table_is_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"version": 1, "N": 2,')
+    assert run(["eval", "--data", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: malformed table JSON")
+
+
 def test_sample_writes_sequences_and_is_deterministic(tmp_path, data_file):
     out_a = tmp_path / "a.txt"
     out_b = tmp_path / "b.txt"

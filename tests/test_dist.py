@@ -16,9 +16,7 @@ from maskdiff.dist import (
     conditional_odds_ratio,
     dumps_table,
     entropy,
-    entropy_from_logs,
     kl,
-    kl_from_logs,
     loads_table,
     product_table,
     same_copula,
@@ -119,17 +117,6 @@ def test_kl_support_violation_raises():
     other[1] = 1.0
     with pytest.raises(SupportError):
         kl(point, JointTable(Alphabet(2, 2), other))
-
-
-def test_log_domain_paths_agree():
-    rng = np.random.default_rng(15)
-    for _ in range(20):
-        p = random_table(rng, 2, 3, floor=True)
-        q = random_table(rng, 2, 3, floor=True)
-        assert entropy_from_logs(np.log(p.probs)) == pytest.approx(entropy(p), abs=1e-10)
-        assert kl_from_logs(np.log(p.probs), np.log(q.probs)) == pytest.approx(
-            kl(p, q), abs=1e-10
-        )
 
 
 # ---------------------------------------------------------------------------

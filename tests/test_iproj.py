@@ -166,17 +166,6 @@ def test_non_convergence_is_reported_not_silent():
     assert report.max_marginal_gap > 1e-10
 
 
-def test_report_serializes():
-    rng = np.random.default_rng(91)
-    p = random_table(rng, 2, 2, floor=True)
-    _, report = iproject_exact(p, random_rows(rng, 2, 2))
-    text = report.dumps()
-    from maskdiff.iproj import load_report
-
-    back = load_report(text)
-    assert back == report
-
-
 def test_ipf_objective_monotone_across_sweeps():
     rng = np.random.default_rng(92)
     for _ in range(5):
@@ -270,7 +259,7 @@ def test_dcd_factors_vanish_when_contexts_coincide():
     full = dm_marginals_full(model, x_next, 0)
     causal = dm_marginals_causal(model, x_next, 0)
     v = dcd_factors(full, causal)
-    assert v.max_row_norm() < 1e-10
+    assert np.abs(v.values).max() < 1e-10
 
 
 def test_dcd_factors_first_row_subcases():

@@ -8,17 +8,15 @@ import pytest
 from maskdiff.dist import (
     Alphabet,
     JointTable,
-    condition,
     sample_states,
     univariate_marginals,
 )
-from maskdiff.errors import ClampError, InvalidDistributionError, SupportError
+from maskdiff.errors import InvalidDistributionError, SupportError
 from maskdiff.models import (
     ARCopulaModel,
     DiffusionMarginalModel,
     ar_chain_table,
     ar_conditional,
-    ar_copula_conditional,
     dm_marginals_causal,
     dm_marginals_full,
     fit_counts_table,
@@ -34,13 +32,6 @@ from maskdiff.noising import (
 )
 
 from _helpers import random_table
-
-FIG2_PROBS = np.array([125.0, 1.0, 1.0, 1.0]) / 128.0
-
-
-def fig2_model() -> ARCopulaModel:
-    return ARCopulaModel.exact(JointTable(Alphabet(2, 2), FIG2_PROBS))
-
 
 # ---------------------------------------------------------------------------
 # diffusion marginals
@@ -190,44 +181,6 @@ def test_counts_rows_always_distributions():
         assert row.min() > 0.0
         assert row.sum() == pytest.approx(1.0, abs=1e-12)
     del rng
-
-
-def test_ar_copula_conditional_clamps_and_reduces():
-    model = fig2_model()
-    alphabet = model.alphabet
-    mask = alphabet.mask_index
-    # all positions unmasked: deterministic copy
-    x_next = SequenceState((1, 0), 1, alphabet)
-    np.testing.assert_array_equal(ar_copula_conditional(model, x_next, (), 0), [0, 1])
-    np.testing.assert_array_equal(ar_copula_conditional(model, x_next, (1,), 1), [1, 0])
-    # all masked: plain conditional
-    x_all = SequenceState.all_masked(alphabet, 1)
-    np.testing.assert_allclose(
-        ar_copula_conditional(model, x_all, (), 0), ar_conditional(model, (), 0)
-    )
-
-
-def test_ar_copula_conditional_is_prefix_blind_about_suffix():
-    # with suffix evidence the AR view cannot move its first-position row,
-    # while the true conditional moves a lot when dependence is strong
-    model = fig2_model()
-    alphabet = model.alphabet
-    mask = alphabet.mask_index
-    x_next = SequenceState((mask, 1), 1, alphabet)
-    blind = ar_copula_conditional(model, x_next, (), 0)
-    np.testing.assert_allclose(blind, univariate_marginals(model.table).rows[0], atol=1e-14)
-    true_cond = condition(model.table, {1: 1})
-    # true P(x0 = 0 | x1 = 1) is 0.5; the blind row says ~0.984
-    assert abs(blind[0] - true_cond.probs[0]) > 0.4
-
-
-def test_ar_copula_conditional_rejects_clamp_violation():
-    model = fig2_model()
-    alphabet = model.alphabet
-    mask = alphabet.mask_index
-    x_next = SequenceState((0, mask), 1, alphabet)
-    with pytest.raises(ClampError):
-        ar_copula_conditional(model, x_next, (1,), 1)
 
 
 # ---------------------------------------------------------------------------
