@@ -1,8 +1,10 @@
 """Command-line surface.
 
 Subcommands: gen-data, fit, sample, eval, sweep, verify. Global flags
---seed, --config, --out-dir; flags override config values. Exit codes:
-0 success, 1 verification failure, 2 configuration/input error.
+--seed, --config, --out-dir. Every flag that sets a `config.SCHEMA` key
+parses with that key's parser; a flag overrides the config file, which
+overrides the SCHEMA default. Exit codes: 0 success, 1 verification
+failure, 2 configuration/input error.
 """
 
 from __future__ import annotations
@@ -10,11 +12,11 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
-from .config import config_get, load_config
+from .config import SCHEMA, load_config, resolve
 from .dist import Alphabet, format_float_short, load_table, sample_states, save_table
 from .errors import ConfigError, MaskDiffError
 from .harness import (
@@ -34,7 +36,7 @@ from .models import (
     save_corpus,
 )
 from .noising import make_schedule
-from .sampler import MODES, SamplerConfig, sample
+from .sampler import MODES, SamplerConfig, required_models, sample
 from . import verify as verify_mod
 
 
@@ -43,23 +45,23 @@ def build_parser() -> argparse.ArgumentParser:
         prog="maskdiff",
         description="Exact desk-scale absorbing-mask diffusion with copula-corrected denoising.",
     )
-    parser.add_argument("--seed", type=int, default=None, help="global seed override")
+    # --seed sets both [data] seed and [sampler] seed
+    _add_setting(parser, "sampler", "seed", help="global seed override")
     parser.add_argument("--config", type=str, default=None, help="config file (INI sections)")
     parser.add_argument("--out-dir", type=str, default=".", help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate a synthetic joint table")
-    p.add_argument("--kind", type=str, default=None)
-    p.add_argument("--num-positions", type=int, default=None)
-    p.add_argument("--num-categories", type=int, default=None)
-    p.add_argument("--correlation-strength", type=float, default=None)
+    for key in ("kind", "num_positions", "num_categories", "correlation_strength"):
+        _add_setting(p, "data", key)
     p.add_argument("--out", type=str, default=None, help="table file (default data.json)")
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("fit", help="fit a counts model from a corpus, or wrap a table")
     p.add_argument("--corpus", type=str, default=None, help="corpus file, one sequence per line")
     p.add_argument("--num-categories", type=int, default=None, help="category count for --corpus")
-    p.add_argument("--smoothing", type=float, default=None, help="additive smoothing (default 1.0)")
+    _add_setting(p, "fit", "smoothing",
+                 help=f"additive smoothing (default {SCHEMA['fit']['smoothing'].default})")
     p.add_argument("--from-table", type=str, default=None, help="wrap a table file as an exact model")
     p.add_argument("--sample-from", type=str, default=None,
                    help="draw a corpus of --corpus-size sequences from this table first")
@@ -70,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="draw sequences")
     _add_model_flags(p)
     _add_sampler_flags(p)
-    p.add_argument("--num-samples", type=int, default=None)
+    _add_setting(p, "sampler", "num_samples")
     p.add_argument("--out", type=str, default=None, help="samples file (default samples.txt)")
     p.add_argument("--trace", type=str, default=None, help="write per-step traces here")
     p.set_defaults(func=cmd_sample)
@@ -82,13 +84,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="exact metrics across modes, step counts, betas")
     _add_model_flags(p)
-    p.add_argument("--modes", type=str, default=None, help="comma-separated modes")
-    p.add_argument("--steps-list", type=str, default=None, help="comma-separated step counts")
-    p.add_argument("--beta-list", type=str, default=None, help="comma-separated betas")
-    p.add_argument("--family", type=str, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--chunk-size", type=int, default=None)
-    p.add_argument("--emit-timings", action="store_true")
+    _add_setting(p, "sweep", "modes", help="comma-separated modes")
+    _add_setting(p, "sweep", "steps_list", help="comma-separated step counts")
+    _add_setting(p, "sweep", "beta_list", help="comma-separated betas")
+    _add_schedule_flags(p)
+    p.add_argument("--emit-timings", action="store_true", default=None)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="run property suites (exit 1 on failure)")
@@ -96,6 +96,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="all or one of: " + ", ".join(sorted(verify_mod.REGISTRY)))
     p.set_defaults(func=cmd_verify)
     return parser
+
+
+def _add_setting(p: argparse.ArgumentParser, section: str, key: str, **kwargs: Any) -> None:
+    """Flag --key-name for SCHEMA[section][key], read by that key's parser
+    into args.key (None when absent, so `_get` falls through)."""
+    p.add_argument("--" + key.replace("_", "-"), type=SCHEMA[section][key].parse,
+                   default=None, **kwargs)
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -107,51 +114,63 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_sampler_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mode", type=str, default=None, choices=MODES)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--family", type=str, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--chunk-size", type=int, default=None)
+    _add_setting(p, "sampler", "mode", choices=MODES)
+    _add_setting(p, "schedule", "steps")
+    _add_setting(p, "sampler", "beta")
+    _add_schedule_flags(p)
 
 
-def _pick(flag: Any, cfg: dict, section: str, key: str, default: Any) -> Any:
-    if flag is not None:
-        return flag
-    return config_get(cfg, section, key, default)
+# the [schedule] keys sample, eval and sweep share; sweep takes its step
+# counts from [sweep] steps_list
+_SCHEDULE_KEYS = ("family", "epsilon", "chunk_size")
+
+
+def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
+    for key in _SCHEDULE_KEYS:
+        _add_setting(p, "schedule", key)
+
+
+def _get(args: argparse.Namespace, cfg: dict, section: str, key: str) -> Any:
+    """[section] key: its flag, then the config file, then the SCHEMA default."""
+    return resolve(cfg, section, key, getattr(args, key, None))
+
+
+def _schedule_settings(args: argparse.Namespace, cfg: dict) -> dict[str, Any]:
+    """The shared [schedule] keys, as keyword arguments of make_schedule and run_sweep."""
+    return {key: _get(args, cfg, "schedule", key) for key in _SCHEDULE_KEYS}
 
 
 def _resolve_models(
-    args: argparse.Namespace, need_dm: bool, need_copula: bool
+    args: argparse.Namespace, modes: Sequence[str]
 ) -> tuple[DiffusionMarginalModel | None, ARCopulaModel | None, Any]:
+    """The models `modes` need (and any given by file), plus the --data table."""
+    needs = [required_models(mode) for mode in modes]
     data = load_table(args.data) if args.data else None
     dm = None
     copula = None
     if args.dm_model:
         dm = DiffusionMarginalModel.load(args.dm_model)
-    elif need_dm:
+    elif any(need_dm for need_dm, _ in needs):
         if data is None:
             raise ConfigError("need --dm-model or --data for this mode")
         dm = DiffusionMarginalModel.exact(data.floored())
     if args.copula_model:
         copula = ARCopulaModel.load(args.copula_model)
-    elif need_copula:
+    elif any(need_copula for _, need_copula in needs):
         if data is None:
             raise ConfigError("need --copula-model or --data for this mode")
         copula = ARCopulaModel.exact(data.floored())
     return dm, copula, data
 
 
-def _sampler_config(args: argparse.Namespace, cfg: dict, seed: int) -> SamplerConfig:
-    mode = _pick(args.mode, cfg, "sampler", "mode", "dcd")
-    steps = int(_pick(args.steps, cfg, "schedule", "steps", 2))
-    family = _pick(args.family, cfg, "schedule", "family", "linear")
-    epsilon = float(_pick(args.epsilon, cfg, "schedule", "epsilon", 1e-3))
-    chunk = int(_pick(args.chunk_size, cfg, "schedule", "chunk_size", 1))
-    beta = float(_pick(args.beta, cfg, "sampler", "beta", 1.0))
-    sched = make_schedule(family, steps, epsilon, chunk)
-    return SamplerConfig(steps=steps, schedule=sched, mode=mode, beta=beta,
-                         chunk_size=chunk, seed=seed)
+def _sampler_config(args: argparse.Namespace, cfg: dict) -> SamplerConfig:
+    steps = _get(args, cfg, "schedule", "steps")
+    sched = make_schedule(steps=steps, **_schedule_settings(args, cfg))
+    return SamplerConfig(
+        steps=steps, schedule=sched, mode=_get(args, cfg, "sampler", "mode"),
+        beta=_get(args, cfg, "sampler", "beta"), chunk_size=sched.chunk_size,
+        seed=_get(args, cfg, "sampler", "seed"),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -159,15 +178,8 @@ def _sampler_config(args: argparse.Namespace, cfg: dict, seed: int) -> SamplerCo
 # ---------------------------------------------------------------------------
 
 def cmd_gen_data(args: argparse.Namespace, cfg: dict) -> int:
-    spec = SyntheticSpec(
-        kind=_pick(args.kind, cfg, "data", "kind", "correlated_phrases"),
-        num_positions=int(_pick(args.num_positions, cfg, "data", "num_positions", 2)),
-        num_categories=int(_pick(args.num_categories, cfg, "data", "num_categories", 2)),
-        correlation_strength=float(
-            _pick(args.correlation_strength, cfg, "data", "correlation_strength", 0.9)
-        ),
-        seed=int(args.seed if args.seed is not None else config_get(cfg, "data", "seed", 0)),
-    )
+    # SyntheticSpec's fields are the [data] keys
+    spec = SyntheticSpec(**{key: _get(args, cfg, "data", key) for key in SCHEMA["data"]})
     table = gen_data(spec)
     out = Path(args.out) if args.out else Path(args.out_dir) / "data.json"
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -184,7 +196,7 @@ def cmd_fit(args: argparse.Namespace, cfg: dict) -> int:
         DiffusionMarginalModel.exact(table.floored()).save(out)
         print(f"wrote exact model {out}")
         return 0
-    smoothing = float(_pick(args.smoothing, cfg, "fit", "smoothing", 1.0))
+    smoothing = _get(args, cfg, "fit", "smoothing")
     if args.sample_from:
         table = load_table(args.sample_from)
         rng = np.random.default_rng(args.seed if args.seed is not None else 0)
@@ -207,13 +219,10 @@ def cmd_fit(args: argparse.Namespace, cfg: dict) -> int:
 
 
 def cmd_sample(args: argparse.Namespace, cfg: dict) -> int:
-    seed = args.seed if args.seed is not None else int(config_get(cfg, "sampler", "seed", 0))
-    scfg = _sampler_config(args, cfg, seed)
-    need_dm = scfg.mode in ("dcd", "diffusion_only", "dcd_ar_unmask")
-    need_cop = scfg.mode in ("dcd", "ar_only", "dcd_ar_unmask")
-    dm, copula, _ = _resolve_models(args, need_dm, need_cop)
-    num = int(_pick(args.num_samples, cfg, "sampler", "num_samples", 1))
-    rng = np.random.default_rng(seed)
+    scfg = _sampler_config(args, cfg)
+    dm, copula, _ = _resolve_models(args, [scfg.mode])
+    num = _get(args, cfg, "sampler", "num_samples")
+    rng = np.random.default_rng(scfg.seed)
     lines = []
     traces = []
     for k in range(num):
@@ -234,10 +243,8 @@ def cmd_sample(args: argparse.Namespace, cfg: dict) -> int:
 def cmd_eval(args: argparse.Namespace, cfg: dict) -> int:
     if not args.data:
         raise ConfigError("eval needs --data to score against")
-    seed = args.seed if args.seed is not None else int(config_get(cfg, "sampler", "seed", 0))
-    scfg = _sampler_config(args, cfg, seed)
-    dm, copula, data = _resolve_models(args, need_dm=scfg.mode != "ar_only", need_copula=scfg.mode != "diffusion_only")
-    assert data is not None
+    scfg = _sampler_config(args, cfg)
+    dm, copula, data = _resolve_models(args, [scfg.mode])
     induced = induced_distribution(dm, copula, scfg)
     klv = kl_to_data(data, induced.table)
     nll = expected_nll(data, induced.table)
@@ -252,34 +259,14 @@ def cmd_eval(args: argparse.Namespace, cfg: dict) -> int:
 def cmd_sweep(args: argparse.Namespace, cfg: dict) -> int:
     if not args.data:
         raise ConfigError("sweep needs --data to score against")
-    modes = (
-        [m.strip() for m in args.modes.split(",") if m.strip()]
-        if args.modes
-        else config_get(cfg, "sweep", "modes", ["dcd", "diffusion_only"])
-    )
-    steps_list = (
-        [int(v) for v in args.steps_list.split(",") if v.strip()]
-        if args.steps_list
-        else config_get(cfg, "sweep", "steps_list", [1, 2, 4])
-    )
-    beta_list = (
-        [float(v) for v in args.beta_list.split(",") if v.strip()]
-        if args.beta_list
-        else config_get(cfg, "sweep", "beta_list", [1.0])
-    )
-    emit_timings = args.emit_timings or bool(config_get(cfg, "sweep", "emit_timings", False))
-    family = _pick(args.family, cfg, "schedule", "family", "linear")
-    epsilon = float(_pick(args.epsilon, cfg, "schedule", "epsilon", 1e-3))
-    chunk = int(_pick(args.chunk_size, cfg, "schedule", "chunk_size", 1))
-    seed = args.seed if args.seed is not None else int(config_get(cfg, "sampler", "seed", 0))
-    need_dm = any(m != "ar_only" for m in modes)
-    need_cop = any(m != "diffusion_only" for m in modes)
-    dm, copula, data = _resolve_models(args, need_dm, need_cop)
-    assert data is not None
+    modes = _get(args, cfg, "sweep", "modes")
+    dm, copula, data = _resolve_models(args, modes)
     results = run_sweep(
-        data, dm, copula, modes, steps_list, beta_list,
-        family=family, epsilon=epsilon, chunk_size=chunk, seed=seed,
-        out_dir=args.out_dir, emit_timings=emit_timings,
+        data, dm, copula, modes,
+        _get(args, cfg, "sweep", "steps_list"), _get(args, cfg, "sweep", "beta_list"),
+        **_schedule_settings(args, cfg),
+        seed=_get(args, cfg, "sampler", "seed"), out_dir=args.out_dir,
+        emit_timings=_get(args, cfg, "sweep", "emit_timings"),
     )
     for r in results:
         wall = "" if r.wall_ms is None else f" wall_ms={r.wall_ms:.1f}"

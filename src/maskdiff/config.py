@@ -1,15 +1,17 @@
 """Flat key-value config files with one section per concern.
 
 INI syntax via configparser; every key is validated against a fixed schema
-and unknown sections or keys are hard errors. CLI flags override config
-values, which override the built-in defaults.
+and unknown sections or keys are hard errors. `SCHEMA` is the one settings
+table: each key's parser reads both its config value and its CLI flag, and
+its default is the only one. `resolve` gives a key's value: CLI flag, then
+config file, then default.
 """
 
 from __future__ import annotations
 
 import configparser
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .errors import ConfigError
 
@@ -23,46 +25,52 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_int_list(text: str) -> list[int]:
+# argparse names the parser in its errors ("invalid int_list value: '1,x'")
+def int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _parse_float_list(text: str) -> list[float]:
+def float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _parse_str_list(text: str) -> list[str]:
+def str_list(text: str) -> list[str]:
     return [tok.strip() for tok in text.split(",") if tok.strip()]
 
 
-SCHEMA: dict[str, dict[str, Callable[[str], Any]]] = {
+class Setting(NamedTuple):
+    parse: Callable[[str], Any]
+    default: Any
+
+
+SCHEMA: dict[str, dict[str, Setting]] = {
     "data": {
-        "kind": str,
-        "num_positions": int,
-        "num_categories": int,
-        "correlation_strength": float,
-        "seed": int,
+        "kind": Setting(str, "correlated_phrases"),
+        "num_positions": Setting(int, 2),
+        "num_categories": Setting(int, 2),
+        "correlation_strength": Setting(float, 0.9),
+        "seed": Setting(int, 0),
     },
     "schedule": {
-        "family": str,
-        "steps": int,
-        "epsilon": float,
-        "chunk_size": int,
+        "family": Setting(str, "linear"),
+        "steps": Setting(int, 2),
+        "epsilon": Setting(float, 1e-3),
+        "chunk_size": Setting(int, 1),
     },
     "sampler": {
-        "mode": str,
-        "beta": float,
-        "num_samples": int,
-        "seed": int,
+        "mode": Setting(str, "dcd"),
+        "beta": Setting(float, 1.0),
+        "num_samples": Setting(int, 1),
+        "seed": Setting(int, 0),
     },
     "fit": {
-        "smoothing": float,
+        "smoothing": Setting(float, 1.0),
     },
     "sweep": {
-        "modes": _parse_str_list,
-        "steps_list": _parse_int_list,
-        "beta_list": _parse_float_list,
-        "emit_timings": _parse_bool,
+        "modes": Setting(str_list, ("dcd", "diffusion_only")),
+        "steps_list": Setting(int_list, (1, 2, 4)),
+        "beta_list": Setting(float_list, (1.0,)),
+        "emit_timings": Setting(_parse_bool, False),
     },
 }
 
@@ -85,13 +93,15 @@ def load_config(path: str | Path) -> dict[str, dict[str, Any]]:
             if key not in SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             try:
-                out[section][key] = SCHEMA[section][key](raw)
+                out[section][key] = SCHEMA[section][key].parse(raw)
             except ValueError as exc:
                 raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
     return out
 
 
-def config_get(
-    cfg: dict[str, dict[str, Any]], section: str, key: str, fallback: Any
-) -> Any:
-    return cfg.get(section, {}).get(key, fallback)
+def resolve(cfg: dict[str, dict[str, Any]], section: str, key: str, flag: Any) -> Any:
+    """The value of [section] key: `flag` unless it is None, else the config
+    file's value, else the SCHEMA default."""
+    if flag is not None:
+        return flag
+    return cfg.get(section, {}).get(key, SCHEMA[section][key].default)

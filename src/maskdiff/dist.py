@@ -166,16 +166,11 @@ class JointTable:
         """View shaped (K,)*N; axis i is position i."""
         return self.probs.reshape((self.alphabet.num_categories,) * self.alphabet.num_positions)
 
-    def floored(self, floor: float = POSITIVITY_FLOOR) -> "JointTable":
-        """Strictly positive variant: clamp entries below `floor` up to it and
-        renormalize."""
-        arr = np.maximum(self.probs, floor)
+    def floored(self) -> "JointTable":
+        """Strictly positive variant: clamp entries below POSITIVITY_FLOOR up
+        to it and renormalize."""
+        arr = np.maximum(self.probs, POSITIVITY_FLOOR)
         return JointTable(self.alphabet, arr / arr.sum(), positive=True)
-
-    def allclose(self, other: "JointTable", tol: float = 1e-12) -> bool:
-        if self.alphabet != other.alphabet:
-            return False
-        return bool(np.max(np.abs(self.probs - other.probs)) <= tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,9 +204,6 @@ class MarginalSet:
         """Number of data categories (mask column excluded)."""
         k = int(self.rows.shape[1])
         return k - 1 if self.includes_mask else k
-
-    def row(self, i: int) -> np.ndarray:
-        return self.rows[i]
 
 
 @dataclass(frozen=True)
@@ -401,21 +393,17 @@ def same_copula(p: JointTable, q: JointTable, tol: float = 1e-8) -> bool:
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _dump_doc(fields: list[tuple[str, str]]) -> str:
-    body = ", ".join(f'"{k}": {v}' for k, v in fields)
-    return "{" + body + "}"
+def dump_table_doc(head: list[tuple[str, str]], p: JointTable, probs_key: str) -> str:
+    """JSON text of a table document: the `head` fields (values already JSON),
+    then N, C and the probabilities under `probs_key`, 17 significant digits
+    each."""
+    probs = "[" + ", ".join(format_float(v) for v in p.probs) + "]"
+    fields = head + [("N", str(p.num_positions)), ("C", str(p.num_categories)), (probs_key, probs)]
+    return "{" + ", ".join(f'"{k}": {v}' for k, v in fields) + "}"
 
 
 def dumps_table(p: JointTable) -> str:
-    probs = "[" + ", ".join(format_float(v) for v in p.probs) + "]"
-    return _dump_doc(
-        [
-            ("version", str(TABLE_FORMAT_VERSION)),
-            ("N", str(p.num_positions)),
-            ("C", str(p.num_categories)),
-            ("probs", probs),
-        ]
-    )
+    return dump_table_doc([("version", str(TABLE_FORMAT_VERSION))], p, "probs")
 
 
 def read_input(path: str | Path) -> str:
@@ -440,12 +428,23 @@ def parse_json_object(text: str, what: str, keys: Sequence[str]) -> dict:
     return doc
 
 
+def parse_table_doc(doc: dict, what: str, probs_key: str) -> JointTable:
+    """The table a parsed `what` document holds. N and C must be JSON integers
+    and doc[probs_key] a list of JSON numbers; anything else, a bool
+    included, is an InputFileError."""
+    n, c, probs = doc["N"], doc["C"], doc[probs_key]
+    if type(n) is not int or type(c) is not int:
+        raise InputFileError(f"a {what}'s N and C must be integers, got {n!r} and {c!r}")
+    if not isinstance(probs, list) or not all(type(v) in (int, float) for v in probs):
+        raise InputFileError(f"a {what}'s {probs_key} must be a list of numbers")
+    return JointTable(Alphabet(n, c), np.asarray(probs, dtype=np.float64))
+
+
 def loads_table(text: str) -> JointTable:
     doc = parse_json_object(text, "table", ("version", "N", "C", "probs"))
     if doc.get("version") != TABLE_FORMAT_VERSION:
         raise InvalidDistributionError(f"unsupported table version {doc.get('version')!r}")
-    alphabet = Alphabet(int(doc["N"]), int(doc["C"]))
-    return JointTable(alphabet, np.asarray(doc["probs"], dtype=np.float64))
+    return parse_table_doc(doc, "table", "probs")
 
 
 def save_table(p: JointTable, path: str | Path) -> None:

@@ -51,6 +51,7 @@ from .sampler import (
     MODE_AR_ONLY,
     MODES,
     SamplerConfig,
+    check_models,
     enumerate_step_distribution,
     sample,
 )
@@ -184,18 +185,18 @@ def induced_distribution(
     """Exact marginal law of the final sequence under cfg.mode, by dynamic
     programming over the per-step laws. Beyond the enumeration cap a Monte
     Carlo estimate is returned when mc_samples is given, else CapExceededError."""
+    alphabet = check_models(dm, copula, cfg.mode)
     if cfg.mode == MODE_AR_ONLY:
-        assert copula is not None
         return InducedResult(ar_chain_table(copula), "exact")
-    alphabet = dm.alphabet if dm is not None else copula.alphabet  # type: ignore[union-attr]
     state_count = (alphabet.num_categories + 1) ** alphabet.num_positions
     if state_count * cfg.steps > EXACT_INDUCED_CAP:
         if mc_samples is None:
             raise CapExceededError(
                 f"(C+1)^N * T = {state_count * cfg.steps} exceeds the exact cap "
-                f"{EXACT_INDUCED_CAP}; pass mc_samples for a Monte Carlo estimate"
+                f"{EXACT_INDUCED_CAP}; call induced_distribution(..., mc_samples=k) "
+                "from Python for a Monte Carlo estimate"
             )
-        return _induced_monte_carlo(dm, copula, cfg, mc_samples, rng)
+        return _induced_monte_carlo(dm, copula, cfg, alphabet, mc_samples, rng)
     current: dict[SequenceState, float] = {
         SequenceState.all_masked(alphabet, cfg.steps): 1.0
     }
@@ -216,12 +217,12 @@ def _induced_monte_carlo(
     dm: DiffusionMarginalModel | None,
     copula: ARCopulaModel | None,
     cfg: SamplerConfig,
+    alphabet: Alphabet,
     num_samples: int,
     rng: np.random.Generator | None,
 ) -> InducedResult:
     if num_samples < 1:
         raise InvalidDistributionError("mc_samples must be >= 1")
-    alphabet = dm.alphabet if dm is not None else copula.alphabet  # type: ignore[union-attr]
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     counts = np.zeros(alphabet.num_states, dtype=np.float64)

@@ -41,7 +41,7 @@ from .dist import (
 )
 from .errors import AlphabetMismatchError, InvalidDistributionError, PositivityError
 
-DEFAULT_IPF_TOL = 1e-10
+IPF_TOL = 1e-10
 DEFAULT_IPF_MAX_SWEEPS = 10_000
 
 
@@ -72,10 +72,6 @@ class FactorMatrix:
     @property
     def num_categories(self) -> int:
         return int(self.values.shape[1])
-
-    @classmethod
-    def zeros(cls, num_positions: int, num_categories: int, beta: float = 1.0) -> "FactorMatrix":
-        return cls(np.zeros((num_positions, num_categories)), beta)
 
     def canonical(self) -> "FactorMatrix":
         """Equivalent representation with zero-mean rows (same projection)."""
@@ -183,14 +179,13 @@ def _marginal_gap(w: np.ndarray, rows: np.ndarray, states: np.ndarray) -> float:
 def iproject_exact(
     p_est: JointTable,
     target: MarginalSet,
-    tol: float = DEFAULT_IPF_TOL,
     max_iter: int = DEFAULT_IPF_MAX_SWEEPS,
     on_sweep: "Callable[[int, float, float], None] | None" = None,
 ) -> tuple[FactorMatrix, IprojReport]:
     """Cyclic IPF. Sweeps rows i = 0..N-1 with the closed-form update
     V[i,:] += log(target_i / current unnormalized marginal_i) until the
-    normalized marginals match the (floored) target within tol, or max_iter
-    sweeps elapse. Non-convergence is reported, never silent.
+    normalized marginals match the (floored) target within IPF_TOL,
+    or max_iter sweeps elapse. Non-convergence is reported, never silent.
 
     The returned V has zero-mean rows; the report's objective is evaluated
     at the internal mass-one minimizer before canonicalization. on_sweep,
@@ -209,7 +204,7 @@ def iproject_exact(
     target_set = MarginalSet(rows)
     if on_sweep is not None:
         on_sweep(0, gap, objective(FactorMatrix(values), p_est, target_set))
-    while gap > tol and iterations < max_iter:
+    while gap > IPF_TOL and iterations < max_iter:
         for i in range(n):
             cur = np.bincount(states[:, i], weights=w, minlength=c)
             delta = np.log(rows[i]) - np.log(np.maximum(cur, POSITIVITY_FLOOR))
@@ -219,7 +214,7 @@ def iproject_exact(
         gap = _marginal_gap(w, rows, states)
         if on_sweep is not None:
             on_sweep(iterations, gap, objective(FactorMatrix(values), p_est, target_set))
-    converged = gap <= tol
+    converged = gap <= IPF_TOL
     obj = objective(FactorMatrix(values), p_est, target_set)
     report = IprojReport(iterations, gap, obj, converged)
     return FactorMatrix(values).canonical(), report

@@ -26,8 +26,9 @@ from .dist import (
     Alphabet,
     JointTable,
     MarginalSet,
-    format_float,
+    dump_table_doc,
     parse_json_object,
+    parse_table_doc,
     read_input,
     univariate_marginals,
 )
@@ -89,17 +90,6 @@ def load_corpus(path: str | Path) -> np.ndarray:
     return np.asarray(rows, dtype=np.int64)
 
 
-def _dump_model_doc(kind: str, table: JointTable) -> str:
-    payload = "[" + ", ".join(format_float(v) for v in table.probs) + "]"
-    return (
-        "{"
-        + f'"version": {MODEL_FORMAT_VERSION}, "kind": "{kind}", '
-        + f'"N": {table.num_positions}, "C": {table.num_categories}, '
-        + f'"payload": {payload}'
-        + "}"
-    )
-
-
 def load_model_file(path: str | Path) -> tuple[str, JointTable]:
     doc = parse_json_object(read_input(path), "model", ("version", "kind", "N", "C", "payload"))
     if doc.get("version") != MODEL_FORMAT_VERSION:
@@ -107,9 +97,7 @@ def load_model_file(path: str | Path) -> tuple[str, JointTable]:
     kind = doc.get("kind")
     if kind not in (KIND_EXACT, KIND_COUNTS):
         raise InvalidDistributionError(f"unknown model kind {kind!r}")
-    alphabet = Alphabet(int(doc["N"]), int(doc["C"]))
-    table = JointTable(alphabet, np.asarray(doc["payload"], dtype=np.float64))
-    return kind, table
+    return kind, parse_table_doc(doc, "model", "payload")
 
 
 _QUERY_CACHE_CAP = 4096
@@ -144,7 +132,8 @@ class _TableModel:
         return cls(fit_counts_table(sequences, alphabet, smoothing), KIND_COUNTS)
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(_dump_model_doc(self.kind, self.table) + "\n", encoding="utf-8")
+        head = [("version", str(MODEL_FORMAT_VERSION)), ("kind", f'"{self.kind}"')]
+        Path(path).write_text(dump_table_doc(head, self.table, "payload") + "\n", encoding="utf-8")
 
     @classmethod
     def load(cls: type[_Model], path: str | Path) -> _Model:

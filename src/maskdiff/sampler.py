@@ -38,7 +38,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .dist import MarginalSet, format_float
+from .dist import Alphabet, MarginalSet, format_float
 from .errors import (
     AlphabetMismatchError,
     ClampError,
@@ -60,6 +60,37 @@ MODE_DIFFUSION_ONLY = "diffusion_only"
 MODE_AR_ONLY = "ar_only"
 MODE_DCD_AR_UNMASK = "dcd_ar_unmask"
 MODES = (MODE_DCD, MODE_DIFFUSION_ONLY, MODE_AR_ONLY, MODE_DCD_AR_UNMASK)
+
+# mode -> (needs a diffusion-marginal model, needs a copula model)
+_MODE_MODELS = {
+    MODE_DCD: (True, True),
+    MODE_DIFFUSION_ONLY: (True, False),
+    MODE_AR_ONLY: (False, True),
+    MODE_DCD_AR_UNMASK: (True, True),
+}
+
+
+def required_models(mode: str) -> tuple[bool, bool]:
+    """(needs a diffusion-marginal model, needs a copula model) for `mode`."""
+    if mode not in _MODE_MODELS:
+        raise InvalidDistributionError(f"unknown mode {mode!r}")
+    return _MODE_MODELS[mode]
+
+
+def check_models(
+    dm: DiffusionMarginalModel | None, copula: ARCopulaModel | None, mode: str
+) -> Alphabet:
+    """The alphabet `mode` runs over. Raises InvalidDistributionError when a
+    model the mode needs is missing, AlphabetMismatchError when the two
+    models given disagree."""
+    needs_dm, needs_copula = required_models(mode)
+    if needs_dm and dm is None:
+        raise InvalidDistributionError(f"mode {mode!r} requires a diffusion-marginal model")
+    if needs_copula and copula is None:
+        raise InvalidDistributionError(f"mode {mode!r} requires a copula model")
+    if dm is not None and copula is not None and dm.alphabet != copula.alphabet:
+        raise AlphabetMismatchError("models must share one alphabet")
+    return dm.alphabet if dm is not None else copula.alphabet  # type: ignore[union-attr]
 
 
 @dataclass(frozen=True)
@@ -296,11 +327,6 @@ def _padded(law: StepLaw, tokens: tuple[int, ...]) -> SequenceState:
 # Full runs
 # ---------------------------------------------------------------------------
 
-def _require(model: object, name: str, mode: str) -> None:
-    if model is None:
-        raise InvalidDistributionError(f"mode {mode!r} requires a {name} model")
-
-
 def sample(
     dm: DiffusionMarginalModel | None,
     copula: ARCopulaModel | None,
@@ -310,16 +336,7 @@ def sample(
     """Run one full reverse pass; returns the mask-free final state and the
     trace. With rng=None a fresh generator is seeded from cfg.seed, making
     runs bit-reproducible."""
-    if cfg.mode in (MODE_DCD, MODE_DCD_AR_UNMASK):
-        _require(dm, "diffusion-marginal", cfg.mode)
-        _require(copula, "copula", cfg.mode)
-    elif cfg.mode == MODE_DIFFUSION_ONLY:
-        _require(dm, "diffusion-marginal", cfg.mode)
-    else:
-        _require(copula, "copula", cfg.mode)
-    if dm is not None and copula is not None and dm.alphabet != copula.alphabet:
-        raise AlphabetMismatchError("models must share one alphabet")
-    alphabet = dm.alphabet if dm is not None else copula.alphabet  # type: ignore[union-attr]
+    alphabet = check_models(dm, copula, cfg.mode)
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
 
@@ -362,6 +379,7 @@ def enumerate_aux_distribution(
     diffusion_only step at x_{t+1}."""
     if cfg.mode not in (MODE_DCD, MODE_DIFFUSION_ONLY):
         raise InvalidDistributionError(f"no aux layer to enumerate for mode {cfg.mode!r}")
+    check_models(dm, copula, cfg.mode)
     return dict(_walk(_step_law(dm, copula, x_next, t, cfg), _every_category))
 
 
@@ -376,6 +394,7 @@ def enumerate_step_distribution(
     has no such law: its single step runs from the prior straight to time 0."""
     if cfg.mode == MODE_AR_ONLY:
         raise InvalidDistributionError(f"no per-step law for mode {cfg.mode!r}")
+    check_models(dm, copula, cfg.mode)
     law = _step_law(dm, copula, x_next, t, cfg)
     out: dict[SequenceState, float] = defaultdict(float)
     for tokens, weight in _walk(law, _every_category):

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+import re
+from pathlib import Path
+from types import SimpleNamespace
+
 import pytest
 
-from maskdiff.cli import main
+from maskdiff import cli
+from maskdiff.cli import build_parser, main
 from maskdiff.dist import load_table
 from maskdiff.models import DiffusionMarginalModel, load_corpus
 
@@ -159,3 +165,222 @@ def test_argparse_usage_error_is_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["sample", "--mode", "bogus"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# settings: flag > config file > default
+# ---------------------------------------------------------------------------
+
+_SAMPLER_ROWS = [
+    ("schedule", "steps", ["--steps", "3"], 3, "4", 4, 2),
+    ("schedule", "family", ["--family", "linear"], "linear", "log-linear", "log-linear", "linear"),
+    ("schedule", "epsilon", ["--epsilon", "0.01"], 0.01, "0.02", 0.02, 1e-3),
+    ("schedule", "chunk_size", ["--chunk-size", "2"], 2, "3", 3, 1),
+    ("sampler", "mode", ["--mode", "diffusion_only"], "diffusion_only", "ar_only", "ar_only", "dcd"),
+    ("sampler", "beta", ["--beta", "0.5"], 0.5, "0.25", 0.25, 1.0),
+    ("sampler", "seed", ["--seed", "5"], 5, "6", 6, 0),
+]
+
+# (command, section, key, flag argv, value from flag, config text, value from config, default)
+SETTING_CASES = [
+    ("gen-data", "data", "kind", ["--kind", "markov_chain"], "markov_chain",
+     "random_dirichlet", "random_dirichlet", "correlated_phrases"),
+    ("gen-data", "data", "num_positions", ["--num-positions", "3"], 3, "4", 4, 2),
+    ("gen-data", "data", "num_categories", ["--num-categories", "3"], 3, "4", 4, 2),
+    ("gen-data", "data", "correlation_strength", ["--correlation-strength", "0.5"], 0.5,
+     "0.25", 0.25, 0.9),
+    ("gen-data", "data", "seed", ["--seed", "5"], 5, "6", 6, 0),
+    ("fit", "fit", "smoothing", ["--smoothing", "0.5"], 0.5, "0.25", 0.25, 1.0),
+    *[("sample",) + row for row in _SAMPLER_ROWS],
+    ("sample", "sampler", "num_samples", ["--num-samples", "3"], 3, "4", 4, 1),
+    *[("eval",) + row for row in _SAMPLER_ROWS],
+    ("sweep", "sweep", "modes", ["--modes", "ar_only"], ["ar_only"],
+     "dcd_ar_unmask", ["dcd_ar_unmask"], ["dcd", "diffusion_only"]),
+    ("sweep", "sweep", "steps_list", ["--steps-list", "3,5"], [3, 5], "6", [6], [1, 2, 4]),
+    ("sweep", "sweep", "beta_list", ["--beta-list", "0.5"], [0.5], "0.25,2", [0.25, 2.0], [1.0]),
+    ("sweep", "sweep", "emit_timings", ["--emit-timings"], True, "true", True, False),
+    *[("sweep",) + row for row in _SAMPLER_ROWS if row[1] in ("family", "epsilon", "chunk_size", "seed")],
+]
+
+
+class _Stop(Exception):
+    pass
+
+
+def _capture_settings(monkeypatch, seen: dict) -> None:
+    """Replace what each command hands its settings to by a recorder."""
+
+    def record_config(cfg):
+        seen.update(mode=cfg.mode, steps=cfg.steps, beta=cfg.beta, seed=cfg.seed,
+                    chunk_size=cfg.chunk_size, family=cfg.schedule.family,
+                    epsilon=cfg.schedule.epsilon)
+
+    def fake_gen_data(spec):
+        seen.update(dataclasses.asdict(spec))
+        raise _Stop
+
+    def fake_fit(seqs, alphabet, smoothing):
+        seen["smoothing"] = smoothing
+        raise _Stop
+
+    def fake_sample(dm, copula, cfg, rng):
+        record_config(cfg)
+        seen["num_samples"] = seen.get("num_samples", 0) + 1
+        return SimpleNamespace(tokens=(0, 0)), None
+
+    def fake_induced(dm, copula, cfg):
+        record_config(cfg)
+        raise _Stop
+
+    def fake_sweep(data, dm, copula, modes, steps_list, beta_list, **kwargs):
+        seen.update(modes=list(modes), steps_list=list(steps_list),
+                    beta_list=list(beta_list), **kwargs)
+        raise _Stop
+
+    monkeypatch.setattr(cli, "gen_data", fake_gen_data)
+    monkeypatch.setattr(cli, "fit_counts_table", fake_fit)
+    monkeypatch.setattr(cli, "sample", fake_sample)
+    monkeypatch.setattr(cli, "induced_distribution", fake_induced)
+    monkeypatch.setattr(cli, "run_sweep", fake_sweep)
+
+
+@pytest.mark.parametrize(
+    "command,section,key,flag_argv,flag_value,file_text,file_value,default",
+    SETTING_CASES,
+    ids=[f"{c[0]}-{c[2]}" for c in SETTING_CASES],
+)
+def test_setting_precedence(tmp_path, data_file, monkeypatch, command, section, key,
+                            flag_argv, flag_value, file_text, file_value, default):
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("0 1\n1 0\n")
+    base = {
+        "gen-data": ["--out", str(tmp_path / "t.json")],
+        "fit": ["--corpus", str(corpus), "--num-categories", "2", "--out", str(tmp_path / "m.json")],
+    }.get(command, ["--data", str(data_file)])
+    # a store_true flag can only say true, so it must beat a false in the file
+    under_flag = "false" if flag_value is True else file_text
+    for flag, text, expected in (
+        ([], None, default), ([], file_text, file_value), (flag_argv, under_flag, flag_value),
+    ):
+        seen: dict = {}
+        _capture_settings(monkeypatch, seen)
+        argv = ["--out-dir", str(tmp_path)]
+        if text is not None:
+            ini = tmp_path / "run.ini"
+            ini.write_text(f"[{section}]\n{key} = {text}\n")
+            argv += ["--config", str(ini)]
+        before, after = (flag, []) if flag[:1] == ["--seed"] else ([], flag)
+        try:
+            assert main(before + argv + [command] + base + after) == 0
+        except _Stop:
+            pass
+        assert seen[key] == expected, (flag, text)
+        assert type(seen[key]) is type(expected)
+
+
+def test_seed_flag_beats_data_and_sampler_seed_in_file(tmp_path, data_file, monkeypatch):
+    seen: dict = {}
+    _capture_settings(monkeypatch, seen)
+    ini = tmp_path / "run.ini"
+    ini.write_text("[data]\nseed = 6\n\n[sampler]\nseed = 7\n")
+    for command, argv in (("gen-data", []), ("eval", ["--data", str(data_file)])):
+        with pytest.raises(_Stop):
+            main(["--seed", "5", "--config", str(ini), command] + argv)
+        assert seen.pop("seed") == 5
+
+
+SUBCOMMAND_OPTIONS = {
+    "gen-data": "--kind --num-positions --num-categories --correlation-strength --out",
+    "fit": "--corpus --num-categories --smoothing --from-table --sample-from --corpus-size --out",
+    "sample": "--data --dm-model --copula-model --mode --steps --beta --family --epsilon "
+              "--chunk-size --num-samples --out --trace",
+    "eval": "--data --dm-model --copula-model --mode --steps --beta --family --epsilon --chunk-size",
+    "sweep": "--data --dm-model --copula-model --modes --steps-list --beta-list --family "
+             "--epsilon --chunk-size --emit-timings",
+    "verify": "",
+}
+
+
+def test_help_lists_every_option(capsys):
+    for command, options in SUBCOMMAND_OPTIONS.items():
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--help"])
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        assert re.findall(r"\[(--[a-z-]+)", usage) == options.split(), command
+
+
+@pytest.mark.parametrize("flag,value,parser", [
+    ("--steps-list", "1,x", "int_list"), ("--beta-list", "x", "float_list"),
+])
+def test_malformed_list_flag_is_exit_2(data_file, capsys, flag, value, parser):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--data", str(data_file), flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"invalid {parser} value" in err and "Traceback" not in err
+
+
+def test_empty_list_flag_is_an_empty_list(tmp_path, data_file, monkeypatch):
+    seen: dict = {}
+    _capture_settings(monkeypatch, seen)
+    with pytest.raises(_Stop):
+        main(["sweep", "--data", str(data_file), "--modes", ""])
+    assert seen["modes"] == []
+
+
+BAD_DOCUMENTS = [
+    ("table", '{"version": 1, "N": "x", "C": 2, "probs": [1]}'),
+    ("table", '{"version": 1, "N": 2.7, "C": 2, "probs": [0.25, 0.25, 0.25, 0.25]}'),
+    ("table", '{"version": 1, "N": true, "C": 2, "probs": [0.5, 0.5]}'),
+    ("table", '{"version": 1, "N": 1, "C": 2, "probs": ["a", "b"]}'),
+    ("table", '{"version": 1, "N": 1, "C": 2, "probs": [true, false]}'),
+    ("model", '{"version": 1, "kind": "exact", "N": 2, "C": 2, "payload": ["a", "b", "c", "d"]}'),
+    ("model", '{"version": 1, "kind": "exact", "N": 2, "C": 2.0, "payload": [0.25, 0.25, 0.25, 0.25]}'),
+    ("model", '{"version": 1, "kind": "exact", "N": 2, "C": 2, "payload": 1}'),
+]
+
+
+@pytest.mark.parametrize("what,text", BAD_DOCUMENTS)
+def test_bad_document_is_exit_2(tmp_path, data_file, capsys, what, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    argv = ["--data", str(bad)] if what == "table" else ["--data", str(data_file), "--dm-model", str(bad)]
+    assert run(["eval"] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: a {what}'s ") and err.count("\n") == 1
+
+
+def test_model_file_round_trips_byte_identical(tmp_path, data_file):
+    out = tmp_path / "m.json"
+    assert run(["fit", "--from-table", str(data_file), "--out", str(out)]) == 0
+    text = out.read_text()
+    assert text.startswith('{"version": 1, "kind": "exact", "N": 2, "C": 2, "payload": [')
+    again = tmp_path / "again.json"
+    DiffusionMarginalModel.load(out).save(again)
+    assert again.read_bytes() == out.read_bytes()
+
+
+def test_cap_advice_names_only_what_exists(tmp_path, capsys):
+    table = tmp_path / "big.json"
+    assert run(["gen-data", "--kind", "random_dirichlet", "--num-positions", "5",
+                "--num-categories", "3", "--out", str(table)]) == 0
+    capsys.readouterr()
+    assert run(["eval", "--data", str(table), "--steps", "4"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "(C+1)^N * T = 4096" in err
+    assert "induced_distribution(..., mc_samples=k)" in err and "pass mc_samples" not in err
+
+
+def test_readme_config_example_runs(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    [block] = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    ini = tmp_path / "readme.ini"
+    ini.write_text(block)
+    data = tmp_path / "pair.json"
+    common = ["--config", str(ini), "--out-dir", str(tmp_path)]
+    assert run(common + ["gen-data", "--out", str(data)]) == 0
+    assert run(common + ["eval", "--data", str(data)]) == 0
+    assert run(common + ["sweep", "--data", str(data)]) == 0
+    out = capsys.readouterr().out
+    assert "mode=dcd T=2 beta=1" in out
+    assert (tmp_path / "results.csv").read_text().count("\n") == 1 + 2 * 3

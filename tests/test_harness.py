@@ -241,6 +241,13 @@ def test_induced_exact_cap_enforced_and_mc_fallback():
     assert out.max_cell_stderr == pytest.approx(math.sqrt(0.25 / 200))
 
 
+def test_sweep_without_a_needed_model_raises():
+    # with no copula, dcd must not report diffusion_only's KL under its own label
+    dm, _ = exact_models(correlated_pair())
+    with pytest.raises(InvalidDistributionError, match="requires a copula"):
+        run_sweep(correlated_pair(), dm, None, ["dcd"], [1, 2], [1.0])
+
+
 def test_induced_monte_carlo_agrees_with_exact_within_3_sigma():
     data = correlated_pair()
     dm, cop = exact_models(data)

@@ -13,6 +13,7 @@ from maskdiff.dist import (
     total_correlation,
     univariate_marginals,
 )
+from maskdiff.errors import AlphabetMismatchError, InvalidDistributionError
 from maskdiff.harness import SyntheticSpec, gen_data, induced_distribution, kl_to_data
 from maskdiff.models import (
     ARCopulaModel,
@@ -29,6 +30,7 @@ from maskdiff.sampler import (
     dcd_step,
     enumerate_aux_distribution,
     enumerate_step_distribution,
+    required_models,
     sample,
 )
 
@@ -336,11 +338,46 @@ def test_chunked_sampling_keeps_chunks_aligned_and_stays_exact():
 def test_sample_requires_the_right_models():
     data = correlated_pair()
     dm, cop = exact_models(data)
-    from maskdiff.errors import InvalidDistributionError
-
     with pytest.raises(InvalidDistributionError):
         sample(None, cop, config("dcd", 1))
     with pytest.raises(InvalidDistributionError):
         sample(dm, None, config("ar_only", 1))
     with pytest.raises(InvalidDistributionError):
         sample(None, None, config("diffusion_only", 1))
+
+
+# mode -> (needs a diffusion-marginal model, needs a copula model)
+NEEDED_MODELS = {
+    "dcd": (True, True),
+    "diffusion_only": (True, False),
+    "ar_only": (False, True),
+    "dcd_ar_unmask": (True, True),
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_induced_and_enumerators_require_the_right_models(mode):
+    dm, cop = exact_models(correlated_pair())
+    cfg = config(mode, 2)
+    x_next = SequenceState.all_masked(dm.alphabet, 2)
+    needs_dm, needs_copula = NEEDED_MODELS[mode]
+    assert required_models(mode) == (needs_dm, needs_copula)
+    missing = [(None, cop)] if needs_dm else []
+    missing += [(dm, None)] if needs_copula else []
+    for dm_arg, cop_arg in missing + [(None, None)]:
+        with pytest.raises(InvalidDistributionError, match="requires"):
+            induced_distribution(dm_arg, cop_arg, cfg)
+        if mode != "ar_only":
+            with pytest.raises(InvalidDistributionError, match="requires"):
+                enumerate_step_distribution(dm_arg, cop_arg, x_next, 1, cfg)
+        if mode in ("dcd", "diffusion_only"):
+            with pytest.raises(InvalidDistributionError, match="requires"):
+                enumerate_aux_distribution(dm_arg, cop_arg, x_next, 1, cfg)
+    other = DiffusionMarginalModel.exact(random_table(np.random.default_rng(3), 3, 2, floor=True))
+    with pytest.raises(AlphabetMismatchError):
+        induced_distribution(other, cop, cfg)
+
+
+def test_required_models_rejects_unknown_mode():
+    with pytest.raises(InvalidDistributionError, match="unknown mode"):
+        required_models("bogus")
