@@ -9,7 +9,6 @@ against independent oracles.
 
 from .dist import (
     Alphabet,
-    IndexPartition,
     JointTable,
     MarginalSet,
     condition,

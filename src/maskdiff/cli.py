@@ -16,7 +16,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .config import SCHEMA, load_config, resolve
+from .config import SCHEMA, count, load_config, resolve
 from .dist import Alphabet, format_float_short, load_table, sample_states, save_table
 from .errors import ConfigError, MaskDiffError
 from .harness import (
@@ -65,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from-table", type=str, default=None, help="wrap a table file as an exact model")
     p.add_argument("--sample-from", type=str, default=None,
                    help="draw a corpus of --corpus-size sequences from this table first")
-    p.add_argument("--corpus-size", type=int, default=10000)
+    p.add_argument("--corpus-size", type=count, default=10000)
     p.add_argument("--out", type=str, default=None, help="model file (default model.json)")
     p.set_defaults(func=cmd_fit)
 
@@ -264,8 +264,7 @@ def cmd_sweep(args: argparse.Namespace, cfg: dict) -> int:
     results = run_sweep(
         data, dm, copula, modes,
         _get(args, cfg, "sweep", "steps_list"), _get(args, cfg, "sweep", "beta_list"),
-        **_schedule_settings(args, cfg),
-        seed=_get(args, cfg, "sampler", "seed"), out_dir=args.out_dir,
+        **_schedule_settings(args, cfg), out_dir=args.out_dir,
         emit_timings=_get(args, cfg, "sweep", "emit_timings"),
     )
     for r in results:

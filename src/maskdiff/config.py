@@ -26,6 +26,13 @@ def _parse_bool(text: str) -> bool:
 
 
 # argparse names the parser in its errors ("invalid int_list value: '1,x'")
+def count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"not a count: {text!r}")
+    return value
+
+
 def int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
@@ -60,7 +67,7 @@ SCHEMA: dict[str, dict[str, Setting]] = {
     "sampler": {
         "mode": Setting(str, "dcd"),
         "beta": Setting(float, 1.0),
-        "num_samples": Setting(int, 1),
+        "num_samples": Setting(count, 1),
         "seed": Setting(int, 0),
     },
     "fit": {

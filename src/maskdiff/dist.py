@@ -122,12 +122,10 @@ def state_to_index(alphabet: Alphabet, tokens: Sequence[int]) -> int:
 
 @dataclass(frozen=True, eq=False)
 class JointTable:
-    """Dense, normalized joint distribution. Immutable; `positive` means every
-    entry is >= POSITIVITY_FLOOR (obtained via floored())."""
+    """Dense, normalized joint distribution. Immutable."""
 
     alphabet: Alphabet
     probs: np.ndarray
-    positive: bool = False
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.probs, dtype=np.float64).ravel()
@@ -145,8 +143,6 @@ class JointTable:
                 f"entries sum to {total!r}, not 1 within {NORMALIZATION_TOL}"
             )
         arr = arr / total
-        if self.positive and arr.min() < POSITIVITY_FLOOR * 0.5:
-            raise PositivityError("table flagged positive but carries zeros")
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
 
@@ -170,7 +166,7 @@ class JointTable:
         """Strictly positive variant: clamp entries below POSITIVITY_FLOOR up
         to it and renormalize."""
         arr = np.maximum(self.probs, POSITIVITY_FLOOR)
-        return JointTable(self.alphabet, arr / arr.sum(), positive=True)
+        return JointTable(self.alphabet, arr / arr.sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,24 +200,6 @@ class MarginalSet:
         """Number of data categories (mask column excluded)."""
         k = int(self.rows.shape[1])
         return k - 1 if self.includes_mask else k
-
-
-@dataclass(frozen=True)
-class IndexPartition:
-    """Masked/unmasked position split; together they cover range(N) exactly."""
-
-    masked: tuple[int, ...]
-    unmasked: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        m, u = set(self.masked), set(self.unmasked)
-        n = len(self.masked) + len(self.unmasked)
-        if m & u or m | u != set(range(n)):
-            raise InvalidDistributionError("masked/unmasked must partition range(N)")
-
-    @property
-    def num_positions(self) -> int:
-        return len(self.masked) + len(self.unmasked)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +275,7 @@ def condition(p: JointTable, evidence: Mapping[int, int]) -> JointTable:
     mass = float(sub.sum())
     if mass <= 0.0:
         raise SupportError(f"evidence {dict(evidence)} has zero probability")
-    return JointTable(Alphabet(n - len(evidence), k), sub.ravel() / mass, positive=p.positive)
+    return JointTable(Alphabet(n - len(evidence), k), sub.ravel() / mass)
 
 
 def total_variation(p: JointTable, q: JointTable) -> float:

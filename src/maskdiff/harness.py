@@ -10,8 +10,8 @@ H(data) + sum_t E[TC(reverse posterior)] is evaluated exactly from the
 brute-force posterior, as is the negative ELBO of any factorized denoiser,
 so the bound's equality case is checkable to rounding error.
 
-Sweeps are deterministic given config and seed; the CSV is byte-stable
-(wall-clock timings are opt-in and left empty by default).
+Sweeps draw no samples: given their config they are deterministic and the
+CSV is byte-stable (wall-clock timings are opt-in and empty by default).
 """
 
 from __future__ import annotations
@@ -74,6 +74,8 @@ class SyntheticSpec:
     def __post_init__(self) -> None:
         if self.kind not in DATA_KINDS:
             raise InvalidDistributionError(f"unknown data kind {self.kind!r}")
+        if self.num_positions < 1:
+            raise InvalidDistributionError("num_positions must be >= 1")
         if not 0.0 <= self.correlation_strength <= 1.0:
             raise InvalidDistributionError("correlation_strength must lie in [0, 1]")
 
@@ -127,7 +129,7 @@ def elbo_bound(data: JointTable, sched: NoiseSchedule) -> float:
     total = entropy(data)
     for t in range(1, sched.steps + 1):
         for x_t, weight in reachable_states(data, t, sched):
-            post = brute_reverse_posterior(data, x_t, sched, t - 1)
+            post = brute_reverse_posterior(data, x_t, sched)
             total += weight * total_correlation(post)
     return total
 
@@ -140,7 +142,7 @@ def optimal_factorized_denoiser(data: JointTable, sched: NoiseSchedule) -> Denoi
     marginals; its negative ELBO attains the bound."""
 
     def rows(x_t: SequenceState) -> MarginalSet:
-        post = brute_reverse_posterior(data, x_t, sched, x_t.time - 1)
+        post = brute_reverse_posterior(data, x_t, sched)
         return univariate_marginals(post, includes_mask=True)
 
     return rows
@@ -155,7 +157,7 @@ def nelbo_factorized(
     total = entropy(data)
     for t in range(1, sched.steps + 1):
         for x_t, weight in reachable_states(data, t, sched):
-            post = brute_reverse_posterior(data, x_t, sched, t - 1)
+            post = brute_reverse_posterior(data, x_t, sched)
             rows = denoiser(x_t)
             if not rows.includes_mask:
                 raise InvalidDistributionError("denoiser rows must include the mask column")
@@ -200,10 +202,10 @@ def induced_distribution(
     current: dict[SequenceState, float] = {
         SequenceState.all_masked(alphabet, cfg.steps): 1.0
     }
-    for t in reversed(range(cfg.steps)):
+    for _ in range(cfg.steps):
         nxt: dict[SequenceState, float] = defaultdict(float)
         for state, weight in current.items():
-            step = enumerate_step_distribution(dm, copula, state, t, cfg)
+            step = enumerate_step_distribution(dm, copula, state, cfg)
             for nxt_state, p in step.items():
                 nxt[nxt_state] += weight * p
         current = dict(nxt)
@@ -242,7 +244,7 @@ def rankwise_projection_gap(
     dm: DiffusionMarginalModel,
     copula: ARCopulaModel,
     x_next: SequenceState,
-    t: int,
+    *,
     beta: float = 1.0,
 ) -> float:
     """Total variation between the fused per-step law the sampler actually
@@ -265,7 +267,7 @@ def rankwise_projection_gap(
         cfg = SamplerConfig(
             steps=x_next.time, schedule=sched, mode="dcd", beta=beta_value
         )
-        aux = enumerate_aux_distribution(dm, copula, x_next, t, cfg)
+        aux = enumerate_aux_distribution(dm, copula, x_next, cfg)
         out = np.zeros(reduced.num_states)
         for tokens, weight in aux.items():
             key = tuple(tokens[i] for i in masked)
@@ -275,7 +277,7 @@ def rankwise_projection_gap(
     reduced = Alphabet(len(masked), dm.alphabet.num_categories)
     fused = JointTable(reduced, reduced_law(beta))
     chain = JointTable(reduced, reduced_law(0.0)).floored()
-    target_rows = dm_marginals_full(dm, x_next, t).rows[list(masked)]
+    target_rows = dm_marginals_full(dm, x_next).rows[list(masked)]
     v, _ = iproject_exact(chain, MarginalSet(target_rows))
     exact, _ = apply_factors(chain, v)
     return total_variation(fused, exact)
@@ -326,7 +328,6 @@ def run_sweep(
     family: str = "linear",
     epsilon: float = 1e-3,
     chunk_size: int = 1,
-    seed: int = 0,
     out_dir: str | Path | None = None,
     emit_timings: bool = False,
 ) -> list[ExperimentResult]:
@@ -350,7 +351,6 @@ def run_sweep(
                     mode=mode,
                     beta=beta,
                     chunk_size=chunk_size,
-                    seed=seed,
                 )
                 start = time.perf_counter()
                 induced = induced_distribution(dm, copula, cfg)

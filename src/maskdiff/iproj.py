@@ -118,12 +118,7 @@ def apply_factors(p_est: JointTable, v: FactorMatrix) -> tuple[JointTable, float
     log_w = np.log(p_est.probs) + v.beta * _factor_sums(v.values, states)
     log_z = _logsumexp(log_w)
     probs = np.exp(log_w - log_z)
-    # mathematically positive, but the flag promises >= floor, which extreme
-    # factors can undercut after renormalization
-    table = JointTable(
-        p_est.alphabet, probs, positive=bool(probs.min() >= POSITIVITY_FLOOR)
-    )
-    return table, float(np.exp(log_z))
+    return JointTable(p_est.alphabet, probs), float(np.exp(log_z))
 
 
 def _check_target(p_est: JointTable, target: MarginalSet) -> None:

@@ -65,7 +65,7 @@ def fit_counts_table(
     if total <= 0.0:
         raise InvalidDistributionError("empty corpus with zero smoothing")
     probs = (counts + smoothing) / total
-    return JointTable(alphabet, probs, positive=smoothing > 0.0)
+    return JointTable(alphabet, probs)
 
 
 def save_corpus(sequences: np.ndarray, path: str | Path) -> None:
@@ -115,6 +115,8 @@ class _TableModel:
     kind: str = KIND_EXACT
 
     def __post_init__(self) -> None:
+        if self.table.num_positions < 1:
+            raise InvalidDistributionError("a model needs num_positions >= 1")
         object.__setattr__(self, "_query_cache", {})
 
     @property
@@ -155,15 +157,10 @@ class ARCopulaModel(_TableModel):
 # Marginal queries
 # ---------------------------------------------------------------------------
 
-def dm_marginals_full(
-    model: DiffusionMarginalModel, x_next: SequenceState, t: int
-) -> MarginalSet:
+def dm_marginals_full(model: DiffusionMarginalModel, x_next: SequenceState) -> MarginalSet:
     """Rows q(x~_t^i | x_{t+1}) for every position, mask excluded: the
-    marginals of the auxiliary posterior given the whole context."""
-    if x_next.time != t + 1:
-        raise InvalidDistributionError(
-            f"x_next carries time {x_next.time}, expected t+1 = {t + 1}"
-        )
+    marginals of the auxiliary posterior given the whole context. They do
+    not depend on the time x_{t+1} carries."""
     cache: dict = model._query_cache  # type: ignore[attr-defined]
     key = ("full", x_next.tokens)
     hit = cache.get(key)
@@ -175,15 +172,9 @@ def dm_marginals_full(
     return rows
 
 
-def dm_marginals_causal(
-    model: DiffusionMarginalModel, x_next: SequenceState, t: int
-) -> MarginalSet:
+def dm_marginals_causal(model: DiffusionMarginalModel, x_next: SequenceState) -> MarginalSet:
     """Row i conditions only on the context left of i: positions >= i are
     replaced by MASK before querying the full-context marginal at i."""
-    if x_next.time != t + 1:
-        raise InvalidDistributionError(
-            f"x_next carries time {x_next.time}, expected t+1 = {t + 1}"
-        )
     cache: dict = model._query_cache  # type: ignore[attr-defined]
     key = ("causal", x_next.tokens)
     hit = cache.get(key)
@@ -196,7 +187,7 @@ def dm_marginals_causal(
         ctx = SequenceState(
             x_next.tokens[:i] + (mask,) * (n - i), x_next.time, model.alphabet
         )
-        rows[i] = dm_marginals_full(model, ctx, t).rows[i]
+        rows[i] = dm_marginals_full(model, ctx).rows[i]
     out = MarginalSet(rows, includes_mask=False)
     if len(cache) < _QUERY_CACHE_CAP:
         cache[key] = out

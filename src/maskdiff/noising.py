@@ -29,7 +29,6 @@ import numpy as np
 
 from .dist import (
     Alphabet,
-    IndexPartition,
     JointTable,
     MarginalSet,
     all_states,
@@ -171,9 +170,6 @@ class SequenceState:
     def unmasked_positions(self) -> tuple[int, ...]:
         return tuple(i for i, tok in enumerate(self.tokens) if tok != self.alphabet.mask_index)
 
-    def partition(self) -> IndexPartition:
-        return IndexPartition(self.masked_positions, self.unmasked_positions)
-
 
 @dataclass(frozen=True)
 class AuxSequence:
@@ -284,15 +280,16 @@ class RemaskDistribution:
 
 
 def remask_kernel(
-    x_tilde: AuxSequence, x_next: SequenceState, sched: NoiseSchedule, t: int
+    x_tilde: AuxSequence, x_next: SequenceState, sched: NoiseSchedule
 ) -> RemaskDistribution:
-    """Kernel q(x_t | x~_t, x_{t+1}); requires t = x~ time = x_{t+1} time - 1
-    and agreement with x_{t+1} on its unmasked positions."""
+    """Kernel q(x_t | x~_t, x_{t+1}) at t = the time of x~_t; requires x_{t+1}
+    one step later and agreement with it on its unmasked positions."""
     if x_tilde.alphabet != x_next.alphabet:
         raise AlphabetMismatchError("aux sequence and state disagree on the alphabet")
-    if t != x_tilde.time or x_next.time != t + 1:
+    t = x_tilde.time
+    if x_next.time != t + 1:
         raise InvalidDistributionError(
-            f"need x_tilde at t={t} and x_next at t+1, got {x_tilde.time} and {x_next.time}"
+            f"need x_next one step after x_tilde (t={t}), got time {x_next.time}"
         )
     for j in x_next.unmasked_positions:
         if x_tilde.tokens[j] != x_next.tokens[j]:
@@ -378,17 +375,15 @@ def _transition_prob(
 
 
 def brute_reverse_posterior(
-    data: JointTable, x_next: SequenceState, sched: NoiseSchedule, t: int
+    data: JointTable, x_next: SequenceState, sched: NoiseSchedule
 ) -> JointTable:
-    """Exact q(x_t | x_{t+1}) over the state alphabet by Bayes' rule:
-    q(x_t | x_{t+1}) proportional to q(x_{t+1} | x_t) * q(x_t), enumerating
-    all states. Raises SupportError for unreachable x_{t+1}."""
+    """Exact q(x_t | x_{t+1}) over the state alphabet, t = x_{t+1} time - 1,
+    by Bayes' rule: q(x_t | x_{t+1}) proportional to q(x_{t+1} | x_t) *
+    q(x_t), enumerating all states. Raises SupportError for unreachable
+    x_{t+1} and ScheduleError for a time outside [1, T]."""
     if data.alphabet != x_next.alphabet:
         raise AlphabetMismatchError("data table and state disagree on the alphabet")
-    if x_next.time != t + 1:
-        raise InvalidDistributionError(
-            f"x_next carries time {x_next.time}, expected t+1 = {t + 1}"
-        )
+    t = x_next.time - 1
     n = data.num_positions
     mask = data.alphabet.mask_index
     state_table = forward_state_distribution(data, t, sched)
@@ -408,16 +403,17 @@ def brute_reverse_posterior(
     return JointTable(state_table.alphabet, post / total)
 
 
-def renormalize_marginals(m: MarginalSet, partition: IndexPartition) -> MarginalSet:
-    """Zero out the mask column and rescale each row to sum 1. Unmasked rows
-    must carry no mask mass; they pass through as the point masses they are."""
+def renormalize_marginals(m: MarginalSet, state: SequenceState) -> MarginalSet:
+    """Zero out the mask column and rescale each row to sum 1. Rows at the
+    unmasked positions of `state` must carry no mask mass; they pass through
+    as the point masses they are."""
     if not m.includes_mask:
         raise InvalidDistributionError("marginal set does not include a mask column")
-    if partition.num_positions != m.num_positions:
-        raise AlphabetMismatchError("partition size does not match the marginal set")
+    if state.alphabet.num_positions != m.num_positions:
+        raise AlphabetMismatchError("state length does not match the marginal set")
     rows = np.asarray(m.rows, dtype=np.float64)
     c = m.num_categories
-    for j in partition.unmasked:
+    for j in state.unmasked_positions:
         if rows[j, c] > 1e-12:
             raise InvalidDistributionError(
                 f"unmasked position {j} carries mask mass {rows[j, c]!r}"

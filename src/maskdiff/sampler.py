@@ -175,10 +175,11 @@ def _fmt_rows(label: str, rows: np.ndarray) -> list[str]:
 
 @dataclass(frozen=True)
 class StepLaw:
-    """One reverse step at x_{t+1}. The content layer fills positions
-    [0, fill): positions unmasked in x_{t+1} are clamped, masked ones are
-    drawn from `row`. With `remask` set the step ends in the exact re-mask
-    kernel of that schedule; without it, positions >= fill stay MASK."""
+    """One reverse step from x_{t+1} to time t (ar_only steps from T straight
+    to 0). The content layer fills positions [0, fill): positions unmasked in
+    x_{t+1} are clamped, masked ones are drawn from `row`. With `remask` set
+    the step ends in the exact re-mask kernel of that schedule; without it,
+    positions >= fill stay MASK."""
 
     x_next: SequenceState
     t: int
@@ -213,53 +214,50 @@ def _fused_law(
     dm: DiffusionMarginalModel | None,
     copula: ARCopulaModel | None,
     x_next: SequenceState,
-    t: int,
     cfg: SamplerConfig,
     fill: int,
     remask: NoiseSchedule | None,
 ) -> StepLaw:
-    full = dm_marginals_full(dm, x_next, t)
-    causal = dm_marginals_causal(dm, x_next, t)
+    full = dm_marginals_full(dm, x_next)
+    causal = dm_marginals_causal(dm, x_next)
     factors = dcd_factors(full, causal, cfg.beta)
-    return StepLaw(x_next, t, fill, remask, copula, factors, full, causal)
+    return StepLaw(x_next, x_next.time - 1, fill, remask, copula, factors, full, causal)
 
 
 def dcd_step(
     dm: DiffusionMarginalModel | None,
     copula: ARCopulaModel | None,
     x_next: SequenceState,
-    t: int,
     cfg: SamplerConfig,
 ) -> StepLaw:
-    return _fused_law(dm, copula, x_next, t, cfg, x_next.alphabet.num_positions, cfg.schedule)
+    return _fused_law(dm, copula, x_next, cfg, x_next.alphabet.num_positions, cfg.schedule)
 
 
 def diffusion_only_step(
     dm: DiffusionMarginalModel | None,
     copula: ARCopulaModel | None,
     x_next: SequenceState,
-    t: int,
     cfg: SamplerConfig,
 ) -> StepLaw:
-    full = dm_marginals_full(dm, x_next, t)
-    return StepLaw(x_next, t, x_next.alphabet.num_positions, cfg.schedule, full=full)
+    n = x_next.alphabet.num_positions
+    return StepLaw(x_next, x_next.time - 1, n, cfg.schedule, full=dm_marginals_full(dm, x_next))
 
 
 def dcd_ar_unmask_step(
     dm: DiffusionMarginalModel | None,
     copula: ARCopulaModel | None,
     x_next: SequenceState,
-    t: int,
     cfg: SamplerConfig,
 ) -> StepLaw:
     bounds = (0,) + ar_unmask_schedule(x_next.alphabet.num_positions, cfg.steps)
-    prev_u, new_u = bounds[cfg.steps - 1 - t], bounds[cfg.steps - t]
+    done = cfg.steps - x_next.time  # steps already taken
+    prev_u, new_u = bounds[done], bounds[done + 1]
     if x_next.unmasked_positions != tuple(range(prev_u)):
         raise ClampError(
             "dcd_ar_unmask expects an unmasked prefix of length "
             f"{prev_u}, got positions {x_next.unmasked_positions}"
         )
-    return _fused_law(dm, copula, x_next, t, cfg, new_u, None)
+    return _fused_law(dm, copula, x_next, cfg, new_u, None)
 
 
 def ar_unmask_schedule(num_positions: int, steps: int) -> tuple[int, ...]:
@@ -274,17 +272,20 @@ def _step_law(
     dm: DiffusionMarginalModel | None,
     copula: ARCopulaModel | None,
     x_next: SequenceState,
-    t: int,
     cfg: SamplerConfig,
 ) -> StepLaw:
+    if not 1 <= x_next.time <= cfg.steps:
+        raise InvalidDistributionError(
+            f"x_next carries time {x_next.time}, outside [1, {cfg.steps}]"
+        )
     if cfg.mode == MODE_DCD:
-        return dcd_step(dm, copula, x_next, t, cfg)
+        return dcd_step(dm, copula, x_next, cfg)
     if cfg.mode == MODE_DIFFUSION_ONLY:
-        return diffusion_only_step(dm, copula, x_next, t, cfg)
+        return diffusion_only_step(dm, copula, x_next, cfg)
     if cfg.mode == MODE_DCD_AR_UNMASK:
-        return dcd_ar_unmask_step(dm, copula, x_next, t, cfg)
-    # ar_only: every position from the plain copula conditionals, no re-mask
-    return StepLaw(x_next, t, x_next.alphabet.num_positions, None, copula)
+        return dcd_ar_unmask_step(dm, copula, x_next, cfg)
+    # ar_only: every position from the plain copula conditionals, straight to time 0
+    return StepLaw(x_next, 0, x_next.alphabet.num_positions, None, copula)
 
 
 Pick = Callable[[np.ndarray], Iterable[int]]
@@ -346,18 +347,17 @@ def sample(
     trace = SampleTrace(cfg.mode, cfg.seed, cfg.beta)
     x = SequenceState.all_masked(alphabet, cfg.steps)
     trace.states.append(x)
-    # ar_only takes a single step from the prior straight to time 0
-    for t in (0,) if cfg.mode == MODE_AR_ONLY else reversed(range(cfg.steps)):
-        law = _step_law(dm, copula, x, t, cfg)
+    while x.time > 0:
+        law = _step_law(dm, copula, x, cfg)
         [(tokens, _)] = _walk(law, draw)
         x_tilde = None
         if law.remask is None:
             x_t = _padded(law, tokens)
         else:
-            x_tilde = AuxSequence(tokens, t, alphabet)
-            x_t = remask_kernel(x_tilde, x, law.remask, t).sample(rng)
+            x_tilde = AuxSequence(tokens, law.t, alphabet)
+            x_t = remask_kernel(x_tilde, x, law.remask).sample(rng)
         trace.steps.append(
-            StepRecord(t, x, x_t, x_tilde, law.factors, law.full, law.causal, law.copula_queries)
+            StepRecord(law.t, x, x_t, x_tilde, law.factors, law.full, law.causal, law.copula_queries)
         )
         trace.states.append(x_t)
         x = x_t
@@ -372,7 +372,6 @@ def enumerate_aux_distribution(
     dm: DiffusionMarginalModel | None,
     copula: ARCopulaModel | None,
     x_next: SequenceState,
-    t: int,
     cfg: SamplerConfig,
 ) -> dict[tuple[int, ...], float]:
     """Exact law of the content layer x~_t produced by one dcd or
@@ -380,14 +379,13 @@ def enumerate_aux_distribution(
     if cfg.mode not in (MODE_DCD, MODE_DIFFUSION_ONLY):
         raise InvalidDistributionError(f"no aux layer to enumerate for mode {cfg.mode!r}")
     check_models(dm, copula, cfg.mode)
-    return dict(_walk(_step_law(dm, copula, x_next, t, cfg), _every_category))
+    return dict(_walk(_step_law(dm, copula, x_next, cfg), _every_category))
 
 
 def enumerate_step_distribution(
     dm: DiffusionMarginalModel | None,
     copula: ARCopulaModel | None,
     x_next: SequenceState,
-    t: int,
     cfg: SamplerConfig,
 ) -> dict[SequenceState, float]:
     """Exact law of x_t produced by one step of cfg.mode at x_{t+1}. ar_only
@@ -395,13 +393,13 @@ def enumerate_step_distribution(
     if cfg.mode == MODE_AR_ONLY:
         raise InvalidDistributionError(f"no per-step law for mode {cfg.mode!r}")
     check_models(dm, copula, cfg.mode)
-    law = _step_law(dm, copula, x_next, t, cfg)
+    law = _step_law(dm, copula, x_next, cfg)
     out: dict[SequenceState, float] = defaultdict(float)
     for tokens, weight in _walk(law, _every_category):
         if law.remask is None:
             out[_padded(law, tokens)] += weight
             continue
-        kernel = remask_kernel(AuxSequence(tokens, t, x_next.alphabet), x_next, law.remask, t)
+        kernel = remask_kernel(AuxSequence(tokens, law.t, x_next.alphabet), x_next, law.remask)
         for state, p in kernel.support():
             out[state] += weight * p
     return dict(out)

@@ -225,16 +225,16 @@ def suite_prop4() -> list[CheckResult]:
     return out
 
 
-def _factorization_gap(data: JointTable, x_next: SequenceState, sched, t: int) -> float:
+def _factorization_gap(data: JointTable, x_next: SequenceState, sched) -> float:
     """Max deviation between the brute posterior q(x_t | x_{t+1}) and the
     auxiliary posterior pushed through the re-mask kernel."""
-    brute = brute_reverse_posterior(data, x_next, sched, t)
+    brute = brute_reverse_posterior(data, x_next, sched)
     aux = aux_posterior(data, x_next)
     combined = np.zeros(brute.alphabet.num_states)
     aux_states = all_states(data.alphabet)
     for idx in np.nonzero(aux.probs)[0]:
-        x_tilde = AuxSequence(tuple(int(v) for v in aux_states[idx]), t, data.alphabet)
-        for state, p in remask_kernel(x_tilde, x_next, sched, t).support():
+        x_tilde = AuxSequence(tuple(aux_states[idx]), x_next.time - 1, data.alphabet)
+        for state, p in remask_kernel(x_tilde, x_next, sched).support():
             combined[state_to_index(brute.alphabet, state.tokens)] += aux.probs[idx] * p
     return float(np.max(np.abs(combined - brute.probs)))
 
@@ -247,7 +247,7 @@ def suite_prop5() -> list[CheckResult]:
     checked = 0
     for t in range(sched.steps):
         for x_next, _ in reachable_states(data, t + 1, sched):
-            worst = max(worst, _factorization_gap(data, x_next, sched, t))
+            worst = max(worst, _factorization_gap(data, x_next, sched))
             checked += 1
     _check(out, "prop5", "factorization_identity", worst < 1e-10,
            f"max dev {worst:.3e} over {checked} contexts")
@@ -260,7 +260,7 @@ def suite_prop5() -> list[CheckResult]:
                 x_next.tokens[i] if not x_next.is_masked(i) else int(rng.integers(0, 2))
                 for i in range(3)
             ]
-            kern = remask_kernel(AuxSequence(tuple(tokens), t, data.alphabet), x_next, sched, t)
+            kern = remask_kernel(AuxSequence(tuple(tokens), t, data.alphabet), x_next, sched)
             for i in x_next.masked_positions:
                 if kern.rows.rows[i, data.alphabet.mask_index] != sched.mask_ratio(t):
                     ok = False
@@ -271,7 +271,7 @@ def suite_prop5() -> list[CheckResult]:
     worst_c = 0.0
     for t in range(sched_c.steps):
         for x_next, _ in reachable_states(data4, t + 1, sched_c):
-            worst_c = max(worst_c, _factorization_gap(data4, x_next, sched_c, t))
+            worst_c = max(worst_c, _factorization_gap(data4, x_next, sched_c))
     _check(out, "prop5", "factorization_identity_chunked", worst_c < 1e-10,
            f"max dev {worst_c:.3e}")
     return out
@@ -284,9 +284,9 @@ def suite_prop6() -> list[CheckResult]:
     worst = 0.0
     for t in range(sched.steps):
         for x_next, _ in reachable_states(data, t + 1, sched):
-            brute = brute_reverse_posterior(data, x_next, sched, t)
+            brute = brute_reverse_posterior(data, x_next, sched)
             with_mask = univariate_marginals(brute, includes_mask=True)
-            renorm = renormalize_marginals(with_mask, x_next.partition())
+            renorm = renormalize_marginals(with_mask, x_next)
             direct = univariate_marginals(aux_posterior(data, x_next))
             worst = max(worst, float(np.max(np.abs(renorm.rows - direct.rows))))
     _check(out, "prop6", "renormalized_marginals_match", worst < 1e-10,

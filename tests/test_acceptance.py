@@ -187,14 +187,14 @@ def test_criterion_4_kernel_identities():
                 np.unravel_index(idx, (3, 3, 3))
             ))
             x_next = SequenceState(tokens, t + 1, data.alphabet)
-            brute = brute_reverse_posterior(data, x_next, sched, t)
+            brute = brute_reverse_posterior(data, x_next, sched)
             aux = aux_posterior(data, x_next)
             combined = np.zeros(brute.alphabet.num_states)
             for k, aux_tokens in enumerate(aux_states):
                 if aux.probs[k] <= 0.0:
                     continue
                 kern = remask_kernel(
-                    AuxSequence(aux_tokens, t, data.alphabet), x_next, sched, t
+                    AuxSequence(aux_tokens, t, data.alphabet), x_next, sched
                 )
                 for state, p in kern.support():
                     combined[state_to_index(brute.alphabet, state.tokens)] += (
@@ -202,7 +202,7 @@ def test_criterion_4_kernel_identities():
                     )
             worst_fact = max(worst_fact, float(np.max(np.abs(combined - brute.probs))))
             renorm = renormalize_marginals(
-                univariate_marginals(brute, includes_mask=True), x_next.partition()
+                univariate_marginals(brute, includes_mask=True), x_next
             )
             direct = univariate_marginals(aux)
             worst_marg = max(worst_marg, float(np.max(np.abs(renorm.rows - direct.rows))))
@@ -294,8 +294,8 @@ def test_criterion_7_factor_rule_sanity():
         for tokens in contexts:
             x_next = SequenceState(tokens, 1, data.alphabet)
             v = dcd_factors(
-                dm_marginals_full(model, x_next, 0),
-                dm_marginals_causal(model, x_next, 0),
+                dm_marginals_full(model, x_next),
+                dm_marginals_causal(model, x_next),
             )
             for i in range(3):
                 if tokens[:i] + (mask,) * (3 - i) == tokens:
@@ -333,7 +333,7 @@ def test_criterion_8_determinism_and_plumbing(tmp_path):
     dirs = (tmp_path / "a", tmp_path / "b")
     for d in dirs:
         run_sweep(data, dm, cop, ["dcd", "diffusion_only", "ar_only"], [1, 2], [0.1, 1.0],
-                  out_dir=d, seed=13)
+                  out_dir=d)
     csv_stable = (dirs[0] / "results.csv").read_bytes() == (dirs[1] / "results.csv").read_bytes()
     # byte-identical traces
     cfg = SamplerConfig(2, make_schedule("linear", 2), "dcd", seed=21)

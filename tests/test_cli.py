@@ -199,7 +199,7 @@ SETTING_CASES = [
     ("sweep", "sweep", "steps_list", ["--steps-list", "3,5"], [3, 5], "6", [6], [1, 2, 4]),
     ("sweep", "sweep", "beta_list", ["--beta-list", "0.5"], [0.5], "0.25,2", [0.25, 2.0], [1.0]),
     ("sweep", "sweep", "emit_timings", ["--emit-timings"], True, "true", True, False),
-    *[("sweep",) + row for row in _SAMPLER_ROWS if row[1] in ("family", "epsilon", "chunk_size", "seed")],
+    *[("sweep",) + row for row in _SAMPLER_ROWS if row[1] in ("family", "epsilon", "chunk_size")],
 ]
 
 
@@ -384,3 +384,44 @@ def test_readme_config_example_runs(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "mode=dcd T=2 beta=1" in out
     assert (tmp_path / "results.csv").read_text().count("\n") == 1 + 2 * 3
+
+
+def _one_line_error(capsys) -> bool:
+    err = capsys.readouterr().err
+    return err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_zero_position_table_is_exit_2(tmp_path, capsys):
+    assert run(["gen-data", "--num-positions", "0", "--out", str(tmp_path / "z.json")]) == 2
+    assert _one_line_error(capsys) and not (tmp_path / "z.json").exists()
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"version": 1, "N": 0, "C": 2, "probs": [1]}')
+    for argv in (["eval", "--data", str(empty)], ["sample", "--data", str(empty)],
+                 ["fit", "--from-table", str(empty), "--out", str(tmp_path / "m.json")]):
+        assert run(["--out-dir", str(tmp_path)] + argv) == 2, argv
+        assert _one_line_error(capsys), argv
+
+
+def test_negative_count_is_exit_2(tmp_path, data_file, capsys):
+    out = ["--out-dir", str(tmp_path)]
+    for argv in (["fit", "--sample-from", str(data_file), "--corpus-size", "-1"],
+                 ["sample", "--data", str(data_file), "--num-samples", "-2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(out + argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid count value" in err and "Traceback" not in err
+    ini = tmp_path / "run.ini"
+    ini.write_text("[sampler]\nnum_samples = -2\n")
+    assert run(out + ["--config", str(ini), "sample", "--data", str(data_file)]) == 2
+    assert _one_line_error(capsys)
+    # a count of 0 is a count
+    assert run(out + ["sample", "--data", str(data_file), "--num-samples", "0"]) == 0
+    assert run(out + ["fit", "--sample-from", str(data_file), "--corpus-size", "0"]) == 0
+
+
+def test_fit_with_tiny_smoothing(tmp_path):
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("0 1\n1 0\n")
+    assert run(["fit", "--corpus", str(corpus), "--num-categories", "2",
+                "--smoothing", "1e-15", "--out", str(tmp_path / "m.json")]) == 0

@@ -321,9 +321,9 @@ def test_sweep_csv_byte_stable_across_runs(tmp_path):
     dir_a = tmp_path / "a"
     dir_b = tmp_path / "b"
     run_sweep(data, dm, cop, ["dcd", "diffusion_only", "ar_only"], [1, 2], [1.0],
-              out_dir=dir_a, seed=3)
+              out_dir=dir_a)
     run_sweep(data, dm, cop, ["dcd", "diffusion_only", "ar_only"], [1, 2], [1.0],
-              out_dir=dir_b, seed=3)
+              out_dir=dir_b)
     assert (dir_a / "results.csv").read_bytes() == (dir_b / "results.csv").read_bytes()
 
 
@@ -374,7 +374,7 @@ def test_rankwise_gap_zero_for_exact_pair_instances():
     mask = data.alphabet.mask_index
     for tokens in ((mask, mask), (mask, 1), (0, mask)):
         x_next = SequenceState(tokens, 1, data.alphabet)
-        assert rankwise_projection_gap(dm, cop, x_next, 0) < 1e-12
+        assert rankwise_projection_gap(dm, cop, x_next) < 1e-12
 
 
 def test_rankwise_gap_measures_mismatch():
@@ -390,8 +390,18 @@ def test_rankwise_gap_measures_mismatch():
     dm = DiffusionMarginalModel.exact(data)
     cop = ARCopulaModel.from_corpus(sample_states(data, 30, rng), data.alphabet)
     x_next = SequenceState.all_masked(data.alphabet, 1)
-    gap = rankwise_projection_gap(dm, cop, x_next, 0)
+    gap = rankwise_projection_gap(dm, cop, x_next)
     assert gap > 1e-3
+
+
+def test_rankwise_gap_takes_beta_by_keyword_only():
+    from maskdiff.harness import rankwise_projection_gap
+
+    dm, cop = exact_models(correlated_pair())
+    x_next = SequenceState.all_masked(dm.alphabet, 1)
+    with pytest.raises(TypeError):
+        rankwise_projection_gap(dm, cop, x_next, 0)
+    assert rankwise_projection_gap(dm, cop, x_next, beta=0.0) < 1e-12
 
 
 def test_sweep_timings_are_opt_in(tmp_path):
@@ -403,3 +413,4 @@ def test_sweep_timings_are_opt_in(tmp_path):
     assert timed[0].wall_ms is not None and timed[0].wall_ms >= 0.0
     text = results_to_csv(timed)
     assert text.splitlines()[1].split(",")[6] != ""
+

@@ -256,8 +256,8 @@ def test_dcd_factors_vanish_when_contexts_coincide():
     data = random_table(rng, 3, 2, floor=True)
     model = DiffusionMarginalModel.exact(data)
     x_next = SequenceState.all_masked(data.alphabet, 1)
-    full = dm_marginals_full(model, x_next, 0)
-    causal = dm_marginals_causal(model, x_next, 0)
+    full = dm_marginals_full(model, x_next)
+    causal = dm_marginals_causal(model, x_next)
     v = dcd_factors(full, causal)
     assert np.abs(v.values).max() < 1e-10
 
@@ -269,14 +269,14 @@ def test_dcd_factors_first_row_subcases():
     mask = data.alphabet.mask_index
     # no unmasked suffix: row 0 vanishes
     v0 = dcd_factors(
-        dm_marginals_full(model, SequenceState.all_masked(data.alphabet, 1), 0),
-        dm_marginals_causal(model, SequenceState.all_masked(data.alphabet, 1), 0),
+        dm_marginals_full(model, SequenceState.all_masked(data.alphabet, 1)),
+        dm_marginals_causal(model, SequenceState.all_masked(data.alphabet, 1)),
     )
     assert np.max(np.abs(v0.values[0])) < 1e-12
     # unmasked suffix: row 0 = log q(x0 | suffix) - log q(x0), by enumeration
     x_next = SequenceState((mask, 1), 1, data.alphabet)
     v1 = dcd_factors(
-        dm_marginals_full(model, x_next, 0), dm_marginals_causal(model, x_next, 0)
+        dm_marginals_full(model, x_next), dm_marginals_causal(model, x_next)
     )
     cond_row = condition(data, {1: 1}).probs
     prior_row = univariate_marginals(data).rows[0]
@@ -295,7 +295,7 @@ def test_dcd_correction_moves_mass_toward_suffix_consistent_category():
     mask = data.alphabet.mask_index
     x_next = SequenceState((mask, 1), 1, data.alphabet)
     v = dcd_factors(
-        dm_marginals_full(model, x_next, 0), dm_marginals_causal(model, x_next, 0)
+        dm_marginals_full(model, x_next), dm_marginals_causal(model, x_next)
     )
     from maskdiff.models import ar_conditional
 

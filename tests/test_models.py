@@ -43,7 +43,7 @@ def test_dm_full_matches_aux_posterior_marginals():
     model = DiffusionMarginalModel.exact(data)
     mask = data.alphabet.mask_index
     x_next = SequenceState((mask, 1, mask), 2, data.alphabet)
-    rows = dm_marginals_full(model, x_next, 1)
+    rows = dm_marginals_full(model, x_next)
     oracle = univariate_marginals(aux_posterior(data, x_next))
     np.testing.assert_allclose(rows.rows, oracle.rows, atol=1e-10)
 
@@ -55,10 +55,10 @@ def test_dm_full_matches_renormalized_brute_marginals():
     sched = make_schedule("linear", 3)
     mask = data.alphabet.mask_index
     x_next = SequenceState((mask, 0, mask), 2, data.alphabet)
-    rows = dm_marginals_full(model, x_next, 1)
-    brute = brute_reverse_posterior(data, x_next, sched, 1)
+    rows = dm_marginals_full(model, x_next)
+    brute = brute_reverse_posterior(data, x_next, sched)
     renorm = renormalize_marginals(
-        univariate_marginals(brute, includes_mask=True), x_next.partition()
+        univariate_marginals(brute, includes_mask=True), x_next
     )
     np.testing.assert_allclose(rows.rows, renorm.rows, atol=1e-10)
 
@@ -68,7 +68,7 @@ def test_dm_full_mask_free_gives_point_masses():
     data = random_table(rng, 2, 3, floor=True)
     model = DiffusionMarginalModel.exact(data)
     x_next = SequenceState((2, 0), 1, data.alphabet)
-    rows = dm_marginals_full(model, x_next, 0)
+    rows = dm_marginals_full(model, x_next)
     np.testing.assert_allclose(rows.rows[0], [0, 0, 1], atol=1e-14)
     np.testing.assert_allclose(rows.rows[1], [1, 0, 0], atol=1e-14)
 
@@ -82,8 +82,8 @@ def test_dm_counts_variant_converges_with_corpus_size():
     mask = data.alphabet.mask_index
     for tokens in ((mask, mask), (mask, 1), (0, mask)):
         x_next = SequenceState(tokens, 1, data.alphabet)
-        got = dm_marginals_full(model, x_next, 0)
-        want = dm_marginals_full(exact, x_next, 0)
+        got = dm_marginals_full(model, x_next)
+        want = dm_marginals_full(exact, x_next)
         assert np.max(np.abs(got.rows - want.rows).sum(axis=1)) < 0.02
 
 
@@ -92,7 +92,7 @@ def test_dm_causal_all_mask_gives_priors():
     data = random_table(rng, 3, 2, floor=True)
     model = DiffusionMarginalModel.exact(data)
     x_next = SequenceState.all_masked(data.alphabet, 1)
-    rows = dm_marginals_causal(model, x_next, 0)
+    rows = dm_marginals_causal(model, x_next)
     np.testing.assert_allclose(rows.rows, univariate_marginals(data).rows, atol=1e-12)
 
 
@@ -103,7 +103,7 @@ def test_dm_causal_first_row_is_unconditional():
     mask = data.alphabet.mask_index
     for tokens in ((mask, 0, 1), (0, mask, mask), (1, 1, 1)):
         x_next = SequenceState(tokens, 1, data.alphabet)
-        rows = dm_marginals_causal(model, x_next, 0)
+        rows = dm_marginals_causal(model, x_next)
         np.testing.assert_allclose(
             rows.rows[0], univariate_marginals(data).rows[0], atol=1e-12
         )
@@ -115,10 +115,10 @@ def test_dm_causal_equals_full_on_masked_suffix_context():
     model = DiffusionMarginalModel.exact(data)
     mask = data.alphabet.mask_index
     x_next = SequenceState((0, mask, 1), 2, data.alphabet)
-    causal = dm_marginals_causal(model, x_next, 1)
+    causal = dm_marginals_causal(model, x_next)
     for i in range(3):
         ctx = SequenceState(x_next.tokens[:i] + (mask,) * (3 - i), 2, data.alphabet)
-        row = dm_marginals_full(model, ctx, 1).rows[i]
+        row = dm_marginals_full(model, ctx).rows[i]
         np.testing.assert_allclose(causal.rows[i], row, atol=1e-10)
 
 
@@ -128,10 +128,10 @@ def test_dm_causal_row_ignores_suffix_changes():
     model = DiffusionMarginalModel.exact(data)
     mask = data.alphabet.mask_index
     base = SequenceState((1, mask, 0), 2, data.alphabet)
-    causal = dm_marginals_causal(model, base, 1)
+    causal = dm_marginals_causal(model, base)
     for suffix in ((mask, mask), (0, mask), (1, 1)):
         other = SequenceState((1,) + suffix, 2, data.alphabet)
-        rows = dm_marginals_causal(model, other, 1)
+        rows = dm_marginals_causal(model, other)
         np.testing.assert_allclose(rows.rows[1], causal.rows[1], atol=1e-12)
 
 
@@ -192,6 +192,19 @@ def test_fit_counts_matches_hand_computation():
     corpus = np.array([[0, 0], [0, 0], [1, 1]])
     table = fit_counts_table(corpus, alphabet, smoothing=1.0)
     np.testing.assert_allclose(table.probs, np.array([3, 1, 1, 2]) / 7.0, atol=1e-15)
+
+
+def test_fit_counts_with_tiny_smoothing_keeps_its_near_zeros():
+    alphabet = Alphabet(2, 2)
+    table = fit_counts_table(np.array([[0, 1], [1, 0]]), alphabet, smoothing=1e-15)
+    assert table.prob((0, 1)) == pytest.approx(0.5) and 0.0 < table.prob((0, 0)) < 1e-12
+
+
+def test_models_need_a_position():
+    empty = JointTable(Alphabet(0, 2), np.array([1.0]))
+    for cls in (DiffusionMarginalModel, ARCopulaModel):
+        with pytest.raises(InvalidDistributionError, match="num_positions"):
+            cls.exact(empty)
 
 
 def test_fit_counts_rejects_bad_tokens():

@@ -20,6 +20,7 @@ from maskdiff.errors import (
     ClampError,
     DegenerateMarginalError,
     InvalidDistributionError,
+    MaskDiffError,
     ScheduleError,
     SupportError,
 )
@@ -191,7 +192,7 @@ def test_remask_never_masks_at_t0():
     mask = alphabet.mask_index
     x_next = SequenceState((mask, 1, mask), 1, alphabet)
     x_tilde = AuxSequence((0, 1, 1), 0, alphabet)
-    kern = remask_kernel(x_tilde, x_next, sched, 0)
+    kern = remask_kernel(x_tilde, x_next, sched)
     rng = np.random.default_rng(48)
     for _ in range(20):
         out = kern.sample(rng)
@@ -206,7 +207,7 @@ def test_remask_time_mismatch_rejected():
     x_tilde = AuxSequence((0, 1), 1, alphabet)
     x_same = SequenceState((alphabet.mask_index, 1), 1, alphabet)
     with pytest.raises(InvalidDistributionError):
-        remask_kernel(x_tilde, x_same, sched, 1)  # t+1 == t is rejected
+        remask_kernel(x_tilde, x_same, sched)  # t+1 == t is rejected
 
 
 def test_remask_clamp_violation_rejected():
@@ -214,7 +215,7 @@ def test_remask_clamp_violation_rejected():
     sched = make_schedule("linear", 3)
     x_next = SequenceState((0, alphabet.mask_index), 2, alphabet)
     with pytest.raises(ClampError):
-        remask_kernel(AuxSequence((1, 0), 1, alphabet), x_next, sched, 1)
+        remask_kernel(AuxSequence((1, 0), 1, alphabet), x_next, sched)
 
 
 def test_remask_rows_are_distributions_with_exact_mask_mass():
@@ -222,7 +223,7 @@ def test_remask_rows_are_distributions_with_exact_mask_mass():
     sched = make_schedule("linear", 3)
     mask = alphabet.mask_index
     x_next = SequenceState((mask, 0, mask), 2, alphabet)
-    kern = remask_kernel(AuxSequence((1, 0, 0), 1, alphabet), x_next, sched, 1)
+    kern = remask_kernel(AuxSequence((1, 0, 0), 1, alphabet), x_next, sched)
     rows = kern.rows.rows
     np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-15)
     ratio = sched.mask_ratio(1)  # (1/3) / (2/3)
@@ -242,7 +243,7 @@ def test_brute_posterior_factorized_data_stays_factorized():
     data = product_table(random_rows(rng, 3, 2))
     sched = make_schedule("linear", 3)
     x_next = SequenceState.all_masked(data.alphabet, 2)
-    post = brute_reverse_posterior(data, x_next, sched, 1)
+    post = brute_reverse_posterior(data, x_next, sched)
     assert total_correlation(post) < 1e-10
 
 
@@ -253,7 +254,7 @@ def test_brute_posterior_single_variable_hand_mixture():
     data = JointTable(Alphabet(1, 2), probs)
     sched = make_schedule("linear", 2)  # alpha_1 = 0.5
     x_next = SequenceState((data.alphabet.mask_index,), 2, data.alphabet)
-    post = brute_reverse_posterior(data, x_next, sched, 1)
+    post = brute_reverse_posterior(data, x_next, sched)
     np.testing.assert_allclose(post.probs, [0.5 * 0.3, 0.5 * 0.7, 0.5], atol=1e-14)
 
 
@@ -264,7 +265,14 @@ def test_brute_posterior_unreachable_state_raises():
     sched = make_schedule("linear", 2)
     bad = SequenceState((1, data.alphabet.mask_index), 2, data.alphabet)
     with pytest.raises(SupportError):
-        brute_reverse_posterior(data, bad, sched, 1)
+        brute_reverse_posterior(data, bad, sched)
+
+
+def test_brute_posterior_rejects_a_time_zero_state():
+    data = JointTable(Alphabet(2, 2), np.full(4, 0.25))
+    with pytest.raises(MaskDiffError):
+        brute_reverse_posterior(data, SequenceState((0, 1), 0, data.alphabet),
+                                make_schedule("linear", 2))
 
 
 def test_brute_marginals_match_renormalization_relation():
@@ -273,9 +281,9 @@ def test_brute_marginals_match_renormalization_relation():
     sched = make_schedule("linear", 3)
     mask = data.alphabet.mask_index
     x_next = SequenceState((mask, 1, mask), 2, data.alphabet)
-    post = brute_reverse_posterior(data, x_next, sched, 1)
+    post = brute_reverse_posterior(data, x_next, sched)
     renorm = renormalize_marginals(
-        univariate_marginals(post, includes_mask=True), x_next.partition()
+        univariate_marginals(post, includes_mask=True), x_next
     )
     direct = univariate_marginals(aux_posterior(data, x_next))
     np.testing.assert_allclose(renorm.rows, direct.rows, atol=1e-10)
@@ -303,14 +311,14 @@ def test_factorization_identity_small_instance_grid():
                 sched = make_schedule("linear", steps)
                 for t in range(steps):
                     for x_next in _reachable_states(data, t + 1, sched):
-                        brute = brute_reverse_posterior(data, x_next, sched, t)
+                        brute = brute_reverse_posterior(data, x_next, sched)
                         aux = aux_posterior(data, x_next)
                         combined = np.zeros(brute.alphabet.num_states)
                         for k, tokens in enumerate(lex_states(n, c)):
                             if aux.probs[k] <= 0.0:
                                 continue
                             kern = remask_kernel(
-                                AuxSequence(tokens, t, data.alphabet), x_next, sched, t
+                                AuxSequence(tokens, t, data.alphabet), x_next, sched
                             )
                             for state, p in kern.support():
                                 combined[
@@ -343,7 +351,7 @@ def test_brute_posterior_matches_forward_simulation():
     np.add.at(counts, idx, 1.0)
     emp = counts / counts.sum()
     post = brute_reverse_posterior(
-        data, SequenceState(target, t + 1, data.alphabet), sched, t
+        data, SequenceState(target, t + 1, data.alphabet), sched
     )
     sigma = np.sqrt(post.probs * (1 - post.probs) / counts.sum())
     assert np.all(np.abs(emp - post.probs) <= 3 * sigma + 1e-12)
@@ -369,19 +377,28 @@ def test_forward_state_distribution_endpoints():
 
 def test_renormalize_arithmetic():
     rows = MarginalSet(np.array([[0.2, 0.3, 0.5], [0.4, 0.6, 0.0]]), includes_mask=True)
-    from maskdiff.dist import IndexPartition
+    alphabet = Alphabet(2, 2)
 
-    out = renormalize_marginals(rows, IndexPartition((0,), (1,)))
+    out = renormalize_marginals(rows, SequenceState((alphabet.mask_index, 1), 1, alphabet))
     np.testing.assert_allclose(out.rows[0], [0.4, 0.6], atol=1e-15)
     np.testing.assert_allclose(out.rows[1], [0.4, 0.6], atol=1e-15)
 
 
 def test_renormalize_degenerate_row_raises():
     rows = MarginalSet(np.array([[0.0, 0.0, 1.0]]), includes_mask=True)
-    from maskdiff.dist import IndexPartition
+    alphabet = Alphabet(1, 2)
 
     with pytest.raises(DegenerateMarginalError):
-        renormalize_marginals(rows, IndexPartition((0,), ()))
+        renormalize_marginals(rows, SequenceState.all_masked(alphabet, 1))
+
+
+def test_renormalize_rejects_mask_mass_on_an_unmasked_position():
+    rows = MarginalSet(np.array([[0.2, 0.3, 0.5], [0.4, 0.5, 0.1]]), includes_mask=True)
+    alphabet = Alphabet(2, 2)
+    with pytest.raises(InvalidDistributionError, match="unmasked position 1"):
+        renormalize_marginals(rows, SequenceState((alphabet.mask_index, 0), 1, alphabet))
+    out = renormalize_marginals(rows, SequenceState.all_masked(alphabet, 1))
+    np.testing.assert_allclose(out.rows[1], [4 / 9, 5 / 9], atol=1e-15)
 
 
 def test_sequence_state_invariants():
@@ -392,4 +409,4 @@ def test_sequence_state_invariants():
         AuxSequence((2, 0), 1, alphabet)  # mask in aux layer
     state = SequenceState((2, 1), 1, alphabet)
     assert state.masked_positions == (0,)
-    assert state.partition().unmasked == (1,)
+    assert state.unmasked_positions == (1,)

@@ -81,6 +81,17 @@ def test_ar_unmask_schedule_monotone_ending_at_n():
             assert bounds[-1] == n
 
 
+@pytest.mark.parametrize("mode", ["dcd", "diffusion_only", "dcd_ar_unmask"])
+def test_step_time_outside_the_schedule_is_rejected(mode):
+    dm, cop = exact_models(correlated_pair())
+    cfg = config(mode, 2)
+    for x_next in (SequenceState((0, 1), 0, dm.alphabet),
+                   SequenceState.all_masked(dm.alphabet, 3),
+                   SequenceState.all_masked(dm.alphabet, 5)):
+        with pytest.raises(InvalidDistributionError, match=r"outside \[1, 2\]"):
+            enumerate_step_distribution(dm, cop, x_next, cfg)
+
+
 # ---------------------------------------------------------------------------
 # dcd step law
 # ---------------------------------------------------------------------------
@@ -91,9 +102,9 @@ def test_dcd_step_all_unmasked_returns_x_next():
     dm, cop = exact_models(data)
     cfg = config("dcd", 2)
     x_next = SequenceState((0, 1, 0), 2, data.alphabet)
-    step = enumerate_step_distribution(dm, cop, x_next, 1, cfg)
+    step = enumerate_step_distribution(dm, cop, x_next, cfg)
     assert step == {SequenceState(x_next.tokens, 1, data.alphabet): 1.0}
-    assert dcd_step(dm, cop, x_next, 1, cfg).copula_queries == 0
+    assert dcd_step(dm, cop, x_next, cfg).copula_queries == 0
 
 
 def test_beta_zero_limit_is_pure_copula_with_clamps():
@@ -103,7 +114,7 @@ def test_beta_zero_limit_is_pure_copula_with_clamps():
     cfg = config("dcd", 2, beta=0.0)
     mask = data.alphabet.mask_index
     x_next = SequenceState((mask, 1, mask), 2, data.alphabet)
-    aux = enumerate_aux_distribution(dm, cop, x_next, 1, cfg)
+    aux = enumerate_aux_distribution(dm, cop, x_next, cfg)
     # oracle: clamped chain of plain copula conditionals
     for tokens, weight in aux.items():
         if tokens[1] != 1:
@@ -122,7 +133,7 @@ def test_one_shot_dcd_step_matches_apply_factors_form():
     dm, cop = exact_models(data)
     cfg = config("dcd", 1)
     x_next = SequenceState.all_masked(data.alphabet, 1)
-    step = enumerate_step_distribution(dm, cop, x_next, 0, cfg)
+    step = enumerate_step_distribution(dm, cop, x_next, cfg)
     # all-mask context: the correction vanishes, so the one-shot law must be
     # the apply-factors form with V = 0, i.e. the copula chain itself
     chain = ar_chain_table(cop)
@@ -138,7 +149,7 @@ def test_dcd_aux_with_suffix_evidence_is_exact_posterior():
     cfg = config("dcd", 2)
     mask = data.alphabet.mask_index
     x_next = SequenceState((mask, 0), 2, data.alphabet)
-    aux = enumerate_aux_distribution(dm, cop, x_next, 1, cfg)
+    aux = enumerate_aux_distribution(dm, cop, x_next, cfg)
     truth = aux_posterior(dm.table, x_next)
     for tokens, weight in aux.items():
         assert weight == pytest.approx(truth.prob(tokens), abs=1e-12)
@@ -149,7 +160,7 @@ def test_one_shot_empirical_distribution_chi_squared():
     dm, cop = exact_models(data)
     cfg = config("dcd", 1, seed=123)
     x_next = SequenceState.all_masked(data.alphabet, 1)
-    law = enumerate_step_distribution(dm, cop, x_next, 0, cfg)
+    law = enumerate_step_distribution(dm, cop, x_next, cfg)
     expected = np.zeros(4)
     for state, p in law.items():
         expected[state_to_index(data.alphabet, state.tokens)] = p
@@ -205,7 +216,7 @@ def test_one_position_per_step_reveals_exact_distribution():
         nxt = {}
         for prefix, w in result.items():
             ctx = SequenceState(prefix + (mask,) * (n - i), i + 1, data.alphabet)
-            row = dm_marginals_full(dm, ctx, i).rows[i]
+            row = dm_marginals_full(dm, ctx).rows[i]
             for c in range(2):
                 if row[c] > 0:
                     nxt[prefix + (c,)] = nxt.get(prefix + (c,), 0.0) + w * row[c]
@@ -369,10 +380,10 @@ def test_induced_and_enumerators_require_the_right_models(mode):
             induced_distribution(dm_arg, cop_arg, cfg)
         if mode != "ar_only":
             with pytest.raises(InvalidDistributionError, match="requires"):
-                enumerate_step_distribution(dm_arg, cop_arg, x_next, 1, cfg)
+                enumerate_step_distribution(dm_arg, cop_arg, x_next, cfg)
         if mode in ("dcd", "diffusion_only"):
             with pytest.raises(InvalidDistributionError, match="requires"):
-                enumerate_aux_distribution(dm_arg, cop_arg, x_next, 1, cfg)
+                enumerate_aux_distribution(dm_arg, cop_arg, x_next, cfg)
     other = DiffusionMarginalModel.exact(random_table(np.random.default_rng(3), 3, 2, floor=True))
     with pytest.raises(AlphabetMismatchError):
         induced_distribution(other, cop, cfg)
