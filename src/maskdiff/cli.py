@@ -232,7 +232,7 @@ def cmd_sample(args: argparse.Namespace, cfg: dict) -> int:
             traces.append(f"# sample {k}\n" + trace.dumps())
     out = Path(args.out) if args.out else Path(args.out_dir) / "samples.txt"
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
     print(f"wrote {out} ({num} samples, mode={scfg.mode}, T={scfg.steps})")
     if args.trace:
         Path(args.trace).write_text("".join(traces), encoding="utf-8")

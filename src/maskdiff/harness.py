@@ -7,8 +7,9 @@ programming over the exact per-step laws, and quality is measured as
 KL(data || induced) plus the expected negative log-likelihood of generated
 sequences under the true data table. The step-count lower bound
 H(data) + sum_t E[TC(reverse posterior)] is evaluated exactly from the
-brute-force posterior, as is the negative ELBO of any factorized denoiser,
-so the bound's equality case is checkable to rounding error.
+Bayes-rule posterior (one forward prior per step), as is the negative ELBO
+of any factorized denoiser, so the bound's equality case is checkable to
+rounding error.
 
 Sweeps draw no samples: given their config they are deterministic and the
 CSV is byte-stable (wall-clock timings are opt-in and empty by default).
@@ -38,14 +39,14 @@ from .dist import (
     total_correlation,
     univariate_marginals,
 )
-from .errors import CapExceededError, InvalidDistributionError, SupportError
+from .errors import CapExceededError, InvalidDistributionError, ScheduleError, SupportError
 from .models import ARCopulaModel, DiffusionMarginalModel, ar_chain_table
 from .noising import (
     NoiseSchedule,
     SequenceState,
-    brute_reverse_posterior,
     forward_state_distribution,
     make_schedule,
+    posterior_from_prior,
 )
 from .sampler import (
     MODE_AR_ONLY,
@@ -128,9 +129,9 @@ def elbo_bound(data: JointTable, sched: NoiseSchedule) -> float:
     """H(data) + sum_{t=1..T} E_{x_t}[TC(q(X_{t-1} | x_t))], exactly."""
     total = entropy(data)
     for t in range(1, sched.steps + 1):
+        prior = forward_state_distribution(data, t - 1, sched)
         for x_t, weight in reachable_states(data, t, sched):
-            post = brute_reverse_posterior(data, x_t, sched)
-            total += weight * total_correlation(post)
+            total += weight * total_correlation(posterior_from_prior(prior, x_t, sched))
     return total
 
 
@@ -140,9 +141,12 @@ DenoiserRows = Callable[[SequenceState], MarginalSet]
 def optimal_factorized_denoiser(data: JointTable, sched: NoiseSchedule) -> DenoiserRows:
     """The factorized denoiser whose rows are the true per-position reverse
     marginals; its negative ELBO attains the bound."""
+    priors = [forward_state_distribution(data, t, sched) for t in range(sched.steps)]
 
     def rows(x_t: SequenceState) -> MarginalSet:
-        post = brute_reverse_posterior(data, x_t, sched)
+        if not 1 <= x_t.time <= sched.steps:
+            raise ScheduleError(f"time {x_t.time} outside [1, {sched.steps}]")
+        post = posterior_from_prior(priors[x_t.time - 1], x_t, sched)
         return univariate_marginals(post, includes_mask=True)
 
     return rows
@@ -156,8 +160,9 @@ def nelbo_factorized(
     distribution, summed over steps."""
     total = entropy(data)
     for t in range(1, sched.steps + 1):
+        prior = forward_state_distribution(data, t - 1, sched)
         for x_t, weight in reachable_states(data, t, sched):
-            post = brute_reverse_posterior(data, x_t, sched)
+            post = posterior_from_prior(prior, x_t, sched)
             rows = denoiser(x_t)
             if not rows.includes_mask:
                 raise InvalidDistributionError("denoiser rows must include the mask column")

@@ -11,8 +11,10 @@ conditional q(x_t | x_{t+1}) splits into two tractable pieces:
     each currently-masked position with probability alpha_t / alpha_{t+1}.
 
 `brute_reverse_posterior` computes q(x_t | x_{t+1}) directly from Bayes'
-rule by enumerating states; it is deliberately independent of the split
-above so the two can be tested against each other.
+rule over all states, vectorised in numpy (`posterior_from_prior` takes the
+prior q(X_t), so callers that visit many x_{t+1} build it once per step);
+it is deliberately independent of the split above so the two can be tested
+against each other.
 
 Chunked masking groups consecutive positions so each chunk shares one
 Bernoulli draw (chunk_size = 1 recovers the per-token process).
@@ -236,12 +238,25 @@ class RemaskDistribution:
     x_tilde: AuxSequence
     x_next: SequenceState
     ratio: float
-    rows: MarginalSet
     mask_chunks: tuple[tuple[int, ...], ...]
 
     @property
     def time(self) -> int:
         return self.x_tilde.time
+
+    @property
+    def rows(self) -> MarginalSet:
+        """Per-position law of x_t over the state alphabet (mask = column C)."""
+        n, c = self.x_next.alphabet.num_positions, self.x_next.alphabet.num_categories
+        masked = set(self.x_next.masked_positions)
+        rows = np.zeros((n, c + 1), dtype=np.float64)
+        for i in range(n):
+            if i in masked:
+                rows[i, c] = self.ratio
+                rows[i, self.x_tilde.tokens[i]] += 1.0 - self.ratio
+            else:
+                rows[i, self.x_next.tokens[i]] = 1.0
+        return MarginalSet(rows, includes_mask=True)
 
     def sample(self, rng: np.random.Generator) -> SequenceState:
         mask = self.x_next.alphabet.mask_index
@@ -295,17 +310,9 @@ def remask_kernel(
         if x_tilde.tokens[j] != x_next.tokens[j]:
             raise ClampError(f"aux sequence disagrees with evidence at position {j}")
     ratio = sched.mask_ratio(t)
-    n, c = x_next.alphabet.num_positions, x_next.alphabet.num_categories
     masked = set(x_next.masked_positions)
-    rows = np.zeros((n, c + 1), dtype=np.float64)
-    for i in range(n):
-        if i in masked:
-            rows[i, c] = ratio
-            rows[i, x_tilde.tokens[i]] += 1.0 - ratio
-        else:
-            rows[i, x_next.tokens[i]] = 1.0
     groups = []
-    for group in chunk_groups(n, sched.chunk_size):
+    for group in chunk_groups(x_next.alphabet.num_positions, sched.chunk_size):
         in_i = tuple(i for i in group if i in masked)
         if not in_i:
             continue
@@ -314,9 +321,7 @@ def remask_kernel(
                 "chunked process states mask whole chunks; got a mixed chunk"
             )
         groups.append(in_i)
-    return RemaskDistribution(
-        x_tilde, x_next, ratio, MarginalSet(rows, includes_mask=True), tuple(groups)
-    )
+    return RemaskDistribution(x_tilde, x_next, ratio, tuple(groups))
 
 
 # ---------------------------------------------------------------------------
@@ -348,59 +353,51 @@ def forward_state_distribution(
     return JointTable(state_alphabet, out.ravel())
 
 
-def _transition_prob(
-    tokens_t: tuple[int, ...],
-    x_next: SequenceState,
-    groups: tuple[tuple[int, ...], ...],
-    mask: int,
-    step_prob: float,
-) -> float:
-    """Forward kernel q(x_{t+1} | x_t) under chunked absorbing masking."""
-    p = 1.0
-    for group in groups:
-        was_masked = all(tokens_t[i] == mask for i in group)
-        if not was_masked and any(tokens_t[i] == mask for i in group):
-            return 0.0  # not a chunk-consistent source state
-        now_masked = all(x_next.tokens[i] == mask for i in group)
-        if was_masked:
-            if not now_masked:
-                return 0.0
-        elif now_masked:
-            p *= step_prob
-        else:
-            if any(x_next.tokens[i] != tokens_t[i] for i in group):
-                return 0.0
-            p *= 1.0 - step_prob
-    return p
+def posterior_from_prior(
+    prior: JointTable, x_next: SequenceState, sched: NoiseSchedule
+) -> JointTable:
+    """q(x_t | x_{t+1}) proportional to q(x_{t+1} | x_t) * q(x_t), over every
+    state at once, given the prior table q(X_t) over the state alphabet
+    (t = x_{t+1} time - 1). The forward kernel is a product over chunks: a
+    chunk that masks in this step contributes step_prob, one that stays
+    unmasked (and equal) 1 - step_prob, one that stays masked 1.0; a source
+    state that is not chunk-consistent, or that x_{t+1} contradicts, gets 0."""
+    if prior.alphabet != x_next.alphabet.with_mask():
+        raise AlphabetMismatchError("prior table and state disagree on the alphabet")
+    step_prob = sched.step_mask_prob(x_next.time - 1)
+    mask = x_next.alphabet.mask_index
+    states = all_states(prior.alphabet)
+    is_mask = states == mask
+    trans = np.ones(len(states), dtype=np.float64)
+    for group in chunk_groups(x_next.alphabet.num_positions, sched.chunk_size):
+        cols = slice(group[0], group[-1] + 1)
+        tokens = x_next.tokens[cols]
+        if all(tok == mask for tok in tokens):
+            was_masked = is_mask[:, cols].all(axis=1)
+            ok = was_masked | ~is_mask[:, cols].any(axis=1)
+            factor = np.where(was_masked, 1.0, step_prob)
+        else:  # the chunk stays unmasked and equal to x_{t+1}
+            ok = (states[:, cols] == tokens).all(axis=1) & ~is_mask[:, cols].any(axis=1)
+            factor = 1.0 - step_prob
+        trans = np.where(ok, trans * factor, 0.0)
+    post = prior.probs * trans
+    total = post.sum()
+    if total <= 0.0:
+        raise SupportError("x_next is unreachable under the forward process")
+    return JointTable(prior.alphabet, post / total)
 
 
 def brute_reverse_posterior(
     data: JointTable, x_next: SequenceState, sched: NoiseSchedule
 ) -> JointTable:
     """Exact q(x_t | x_{t+1}) over the state alphabet, t = x_{t+1} time - 1,
-    by Bayes' rule: q(x_t | x_{t+1}) proportional to q(x_{t+1} | x_t) *
-    q(x_t), enumerating all states. Raises SupportError for unreachable
-    x_{t+1} and ScheduleError for a time outside [1, T]."""
+    by Bayes' rule over all states (`posterior_from_prior` on the exact
+    forward marginal q(X_t)). Raises SupportError for unreachable x_{t+1}
+    and ScheduleError for a time outside [1, T]."""
     if data.alphabet != x_next.alphabet:
         raise AlphabetMismatchError("data table and state disagree on the alphabet")
-    t = x_next.time - 1
-    n = data.num_positions
-    mask = data.alphabet.mask_index
-    state_table = forward_state_distribution(data, t, sched)
-    step_prob = sched.step_mask_prob(t)
-    groups = chunk_groups(n, sched.chunk_size)
-    states = all_states(state_table.alphabet)
-    post = np.zeros(state_table.alphabet.num_states, dtype=np.float64)
-    qt = state_table.probs
-    for idx in np.nonzero(qt)[0]:
-        tokens_t = tuple(int(v) for v in states[idx])
-        trans = _transition_prob(tokens_t, x_next, groups, mask, step_prob)
-        if trans > 0.0:
-            post[idx] = qt[idx] * trans
-    total = post.sum()
-    if total <= 0.0:
-        raise SupportError("x_next is unreachable under the forward process")
-    return JointTable(state_table.alphabet, post / total)
+    prior = forward_state_distribution(data, x_next.time - 1, sched)
+    return posterior_from_prior(prior, x_next, sched)
 
 
 def renormalize_marginals(m: MarginalSet, state: SequenceState) -> MarginalSet:

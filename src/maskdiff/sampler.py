@@ -210,6 +210,13 @@ class StepLaw:
         return sum(self.x_next.is_masked(i) for i in range(self.fill))
 
 
+def _check_time(x_next: SequenceState, cfg: SamplerConfig) -> None:
+    if not 1 <= x_next.time <= cfg.steps:
+        raise InvalidDistributionError(
+            f"x_next carries time {x_next.time}, outside [1, {cfg.steps}]"
+        )
+
+
 def _fused_law(
     dm: DiffusionMarginalModel | None,
     copula: ARCopulaModel | None,
@@ -230,6 +237,7 @@ def dcd_step(
     x_next: SequenceState,
     cfg: SamplerConfig,
 ) -> StepLaw:
+    _check_time(x_next, cfg)
     return _fused_law(dm, copula, x_next, cfg, x_next.alphabet.num_positions, cfg.schedule)
 
 
@@ -239,6 +247,7 @@ def diffusion_only_step(
     x_next: SequenceState,
     cfg: SamplerConfig,
 ) -> StepLaw:
+    _check_time(x_next, cfg)
     n = x_next.alphabet.num_positions
     return StepLaw(x_next, x_next.time - 1, n, cfg.schedule, full=dm_marginals_full(dm, x_next))
 
@@ -249,6 +258,7 @@ def dcd_ar_unmask_step(
     x_next: SequenceState,
     cfg: SamplerConfig,
 ) -> StepLaw:
+    _check_time(x_next, cfg)
     bounds = (0,) + ar_unmask_schedule(x_next.alphabet.num_positions, cfg.steps)
     done = cfg.steps - x_next.time  # steps already taken
     prev_u, new_u = bounds[done], bounds[done + 1]
@@ -274,10 +284,6 @@ def _step_law(
     x_next: SequenceState,
     cfg: SamplerConfig,
 ) -> StepLaw:
-    if not 1 <= x_next.time <= cfg.steps:
-        raise InvalidDistributionError(
-            f"x_next carries time {x_next.time}, outside [1, {cfg.steps}]"
-        )
     if cfg.mode == MODE_DCD:
         return dcd_step(dm, copula, x_next, cfg)
     if cfg.mode == MODE_DIFFUSION_ONLY:
@@ -285,6 +291,7 @@ def _step_law(
     if cfg.mode == MODE_DCD_AR_UNMASK:
         return dcd_ar_unmask_step(dm, copula, x_next, cfg)
     # ar_only: every position from the plain copula conditionals, straight to time 0
+    _check_time(x_next, cfg)
     return StepLaw(x_next, 0, x_next.alphabet.num_positions, None, copula)
 
 

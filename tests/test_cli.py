@@ -420,6 +420,13 @@ def test_negative_count_is_exit_2(tmp_path, data_file, capsys):
     assert run(out + ["fit", "--sample-from", str(data_file), "--corpus-size", "0"]) == 0
 
 
+def test_zero_samples_write_an_empty_file(tmp_path, data_file):
+    out = tmp_path / "none.txt"
+    assert run(["sample", "--data", str(data_file), "--num-samples", "0",
+                "--out", str(out)]) == 0
+    assert out.read_bytes() == b""
+
+
 def test_fit_with_tiny_smoothing(tmp_path):
     corpus = tmp_path / "c.txt"
     corpus.write_text("0 1\n1 0\n")

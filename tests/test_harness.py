@@ -11,10 +11,12 @@ from maskdiff.dist import (
     JointTable,
     MarginalSet,
     entropy,
+    kl,
     product_table,
     total_correlation,
+    univariate_marginals,
 )
-from maskdiff.errors import CapExceededError, InvalidDistributionError
+from maskdiff.errors import CapExceededError, InvalidDistributionError, ScheduleError
 from maskdiff.harness import (
     CSV_HEADER,
     SyntheticSpec,
@@ -25,11 +27,12 @@ from maskdiff.harness import (
     kl_to_data,
     nelbo_factorized,
     optimal_factorized_denoiser,
+    reachable_states,
     results_to_csv,
     run_sweep,
 )
 from maskdiff.models import ARCopulaModel, DiffusionMarginalModel, ar_chain_table
-from maskdiff.noising import SequenceState, make_schedule
+from maskdiff.noising import SequenceState, brute_reverse_posterior, make_schedule
 from maskdiff.sampler import SamplerConfig
 
 from _helpers import random_rows, random_table
@@ -176,6 +179,40 @@ def _trajectory_nelbo(data, sched, denoiser) -> float:
             term += math.log(forward_step_prob(prev, nxt, t)) - math.log(r)
         total += weight * term
     return total
+
+
+def _per_state_bounds(data: JointTable, sched) -> tuple[float, float]:
+    """The bound and the optimal denoiser's negative ELBO, summed as H(data)
+    then per reachable x_t, each from its own brute_reverse_posterior."""
+    bound = nelbo = entropy(data)
+    for t in range(1, sched.steps + 1):
+        for x_t, weight in reachable_states(data, t, sched):
+            post = brute_reverse_posterior(data, x_t, sched)
+            bound += weight * total_correlation(post)
+            rows = univariate_marginals(post, includes_mask=True)
+            nelbo += weight * kl(post, product_table(rows, post.alphabet))
+    return bound, nelbo
+
+
+@pytest.mark.parametrize("chunk_size", [1, 2])
+@pytest.mark.parametrize("family", ["linear", "log-linear"])
+def test_bound_and_optimal_nelbo_equal_the_per_state_sum_bit_for_bit(family, chunk_size):
+    rng = np.random.default_rng(132)
+    for data in (random_table(rng, 3, 3),
+                 gen_data(SyntheticSpec("correlated_phrases", 3, 2, 1.0))):  # has zeros
+        sched = make_schedule(family, 3, chunk_size=chunk_size)
+        bound, nelbo = _per_state_bounds(data, sched)
+        assert elbo_bound(data, sched) == bound
+        assert nelbo_factorized(data, sched, optimal_factorized_denoiser(data, sched)) == nelbo
+
+
+def test_optimal_denoiser_rejects_a_time_outside_the_schedule():
+    data = correlated_pair()
+    optimal = optimal_factorized_denoiser(data, make_schedule("linear", 2))
+    for x_t in (SequenceState((0, 1), 0, data.alphabet),
+                SequenceState.all_masked(data.alphabet, 3)):
+        with pytest.raises(ScheduleError):
+            optimal(x_t)
 
 
 def test_nelbo_matches_trajectory_enumeration_oracle():

@@ -327,23 +327,25 @@ def test_factorization_identity_small_instance_grid():
                         assert np.max(np.abs(combined - brute.probs)) < 1e-10
 
 
-def test_brute_posterior_matches_forward_simulation():
+def _check_against_forward_simulation(chunk_size: int, target: tuple[int, ...]) -> None:
     # independent route: simulate x0 -> x_t -> x_{t+1} chains from the raw
-    # process definition, condition on one x_{t+1}, histogram x_t
+    # process definition (one draw per chunk), condition on one x_{t+1},
+    # histogram x_t
     from maskdiff.dist import sample_states
 
     rng = np.random.default_rng(77)
     data = random_table(rng, 3, 2, floor=True)
-    sched = make_schedule("linear", 3)
+    sched = make_schedule("linear", 3, chunk_size=chunk_size)
     t = 1
     mask = data.alphabet.mask_index
     draws = 400_000
     x0 = sample_states(data, draws, rng)
-    masked_t = rng.random(x0.shape) < sched.alpha(t)
+    chunk_of = [i // chunk_size for i in range(3)]
+    shape = (draws, chunk_of[-1] + 1)
+    masked_t = (rng.random(shape) < sched.alpha(t))[:, chunk_of]
     x_t = np.where(masked_t, mask, x0)
-    mask_more = masked_t | (rng.random(x0.shape) < sched.step_mask_prob(t))
+    mask_more = masked_t | (rng.random(shape) < sched.step_mask_prob(t))[:, chunk_of]
     x_t1 = np.where(mask_more, mask, x0)
-    target = (mask, 0, mask)
     sel = np.all(x_t1 == np.array(target), axis=1)
     assert sel.sum() > 10_000
     counts = np.zeros(27)  # (C+1)^N states
@@ -355,6 +357,24 @@ def test_brute_posterior_matches_forward_simulation():
     )
     sigma = np.sqrt(post.probs * (1 - post.probs) / counts.sum())
     assert np.all(np.abs(emp - post.probs) <= 3 * sigma + 1e-12)
+
+
+def test_brute_posterior_matches_forward_simulation():
+    _check_against_forward_simulation(1, (2, 0, 2))  # C = 2, so MASK is 2
+
+
+def test_brute_posterior_matches_chunked_forward_simulation():
+    _check_against_forward_simulation(2, (2, 2, 0))
+
+
+def test_brute_posterior_rejects_a_mixed_chunk_state():
+    rng = np.random.default_rng(78)
+    data = random_table(rng, 3, 2, floor=True)
+    sched = make_schedule("linear", 3, chunk_size=2)
+    mask = data.alphabet.mask_index
+    for tokens in ((mask, 0, 1), (1, mask, mask)):
+        with pytest.raises(SupportError):
+            brute_reverse_posterior(data, SequenceState(tokens, 2, data.alphabet), sched)
 
 
 def test_forward_state_distribution_endpoints():

@@ -26,8 +26,11 @@ from maskdiff.noising import SequenceState, aux_posterior, make_schedule
 from maskdiff.sampler import (
     MODES,
     SamplerConfig,
+    _step_law,
     ar_unmask_schedule,
+    dcd_ar_unmask_step,
     dcd_step,
+    diffusion_only_step,
     enumerate_aux_distribution,
     enumerate_step_distribution,
     required_models,
@@ -90,6 +93,15 @@ def test_step_time_outside_the_schedule_is_rejected(mode):
                    SequenceState.all_masked(dm.alphabet, 5)):
         with pytest.raises(InvalidDistributionError, match=r"outside \[1, 2\]"):
             enumerate_step_distribution(dm, cop, x_next, cfg)
+
+
+def test_step_functions_check_the_step_time_themselves():
+    dm, cop = exact_models(correlated_pair())
+    late = SequenceState.all_masked(dm.alphabet, 5)
+    for mode, step in (("dcd", dcd_step), ("diffusion_only", diffusion_only_step),
+                       ("dcd_ar_unmask", dcd_ar_unmask_step), ("ar_only", _step_law)):
+        with pytest.raises(InvalidDistributionError, match=r"outside \[1, 2\]"):
+            step(dm, cop, late, config(mode, 2))
 
 
 # ---------------------------------------------------------------------------
