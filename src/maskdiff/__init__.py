@@ -61,7 +61,6 @@ from .models import (
     save_corpus,
 )
 from .noising import (
-    AuxSequence,
     NoiseSchedule,
     SequenceState,
     aux_posterior,

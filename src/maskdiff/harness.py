@@ -22,7 +22,7 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -118,20 +118,36 @@ def reachable_states(
     data: JointTable, t: int, sched: NoiseSchedule
 ) -> Iterable[tuple[SequenceState, float]]:
     """Every state x_t with q(x_t) > 0, in table order, with its probability."""
-    qt = forward_state_distribution(data, t, sched)
+    return _support(forward_state_distribution(data, t, sched), t, data.alphabet)
+
+
+def _support(
+    qt: JointTable, t: int, alphabet: Alphabet
+) -> Iterator[tuple[SequenceState, float]]:
     states = all_states(qt.alphabet)
     for idx in np.nonzero(qt.probs)[0]:
         tokens = tuple(int(v) for v in states[idx])
-        yield SequenceState(tokens, t, data.alphabet), float(qt.probs[idx])
+        yield SequenceState(tokens, t, alphabet), float(qt.probs[idx])
+
+
+def _posteriors(
+    data: JointTable, sched: NoiseSchedule
+) -> Iterator[tuple[SequenceState, float, JointTable]]:
+    """(x_t, q(x_t), q(X_{t-1} | x_t)) for every reachable x_t, t = 1..T, in
+    order; each q(X_t) is built once, as the table and then as the next prior."""
+    prior = forward_state_distribution(data, 0, sched)
+    for t in range(1, sched.steps + 1):
+        qt = forward_state_distribution(data, t, sched)
+        for x_t, weight in _support(qt, t, data.alphabet):
+            yield x_t, weight, posterior_from_prior(prior, x_t, sched)
+        prior = qt
 
 
 def elbo_bound(data: JointTable, sched: NoiseSchedule) -> float:
     """H(data) + sum_{t=1..T} E_{x_t}[TC(q(X_{t-1} | x_t))], exactly."""
     total = entropy(data)
-    for t in range(1, sched.steps + 1):
-        prior = forward_state_distribution(data, t - 1, sched)
-        for x_t, weight in reachable_states(data, t, sched):
-            total += weight * total_correlation(posterior_from_prior(prior, x_t, sched))
+    for _, weight, post in _posteriors(data, sched):
+        total += weight * total_correlation(post)
     return total
 
 
@@ -159,14 +175,11 @@ def nelbo_factorized(
     expected KL from the true reverse posterior to the denoiser's product
     distribution, summed over steps."""
     total = entropy(data)
-    for t in range(1, sched.steps + 1):
-        prior = forward_state_distribution(data, t - 1, sched)
-        for x_t, weight in reachable_states(data, t, sched):
-            post = posterior_from_prior(prior, x_t, sched)
-            rows = denoiser(x_t)
-            if not rows.includes_mask:
-                raise InvalidDistributionError("denoiser rows must include the mask column")
-            total += weight * kl(post, product_table(rows, post.alphabet))
+    for x_t, weight, post in _posteriors(data, sched):
+        rows = denoiser(x_t)
+        if not rows.includes_mask:
+            raise InvalidDistributionError("denoiser rows must include the mask column")
+        total += weight * kl(post, product_table(rows, post.alphabet))
     return total
 
 
@@ -380,19 +393,8 @@ def results_to_csv(results: Sequence[ExperimentResult]) -> str:
     lines = [CSV_HEADER]
     for r in sorted(results, key=lambda r: (r.mode, r.steps, r.beta)):
         wall = "" if r.wall_ms is None else format_float_short(r.wall_ms)
-        lines.append(
-            ",".join(
-                [
-                    r.mode,
-                    str(r.steps),
-                    format_float_short(r.beta),
-                    format_float_short(r.kl_to_data),
-                    format_float_short(r.nll),
-                    format_float_short(r.elbo_bound),
-                    wall,
-                ]
-            )
-        )
+        numbers = map(format_float_short, (r.beta, r.kl_to_data, r.nll, r.elbo_bound))
+        lines.append(",".join([r.mode, str(r.steps), *numbers, wall]))
     return "\n".join(lines) + "\n"
 
 

@@ -59,8 +59,10 @@ class FactorMatrix:
             raise InvalidDistributionError("factor matrix must be 2-D")
         if not np.all(np.isfinite(arr)):
             raise InvalidDistributionError("factor matrix entries must be finite")
-        if not self.beta >= 0.0:
-            raise InvalidDistributionError("beta must be >= 0 (0 disables the correction)")
+        if not (self.beta >= 0.0 and np.isfinite(self.beta)):
+            raise InvalidDistributionError(
+                f"beta must be finite and >= 0 (0 disables the correction), got {self.beta!r}"
+            )
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)

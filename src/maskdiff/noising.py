@@ -9,6 +9,9 @@ conditional q(x_t | x_{t+1}) splits into two tractable pieces:
     data distribution on the unmasked tokens of x_{t+1} and clamps them, and
   * an independent re-masking kernel  q(x_t | x~_t, x_{t+1})  that re-masks
     each currently-masked position with probability alpha_t / alpha_{t+1}.
+    `remask_kernel` builds it from x_{t+1} alone; its one walker,
+    `RemaskDistribution.outcomes`, takes a content layer (a token tuple)
+    and either draws one outcome or lists them all, by the `pick` it is given.
 
 `brute_reverse_posterior` computes q(x_t | x_{t+1}) directly from Bayes'
 rule over all states, vectorised in numpy (`posterior_from_prior` takes the
@@ -25,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -173,26 +176,6 @@ class SequenceState:
         return tuple(i for i, tok in enumerate(self.tokens) if tok != self.alphabet.mask_index)
 
 
-@dataclass(frozen=True)
-class AuxSequence:
-    """Mask-free content layer at time `time`: what each position would be if
-    revealed."""
-
-    tokens: tuple[int, ...]
-    time: int
-    alphabet: Alphabet
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tokens", tuple(int(t) for t in self.tokens))
-        if len(self.tokens) != self.alphabet.num_positions:
-            raise AlphabetMismatchError("token count does not match the alphabet")
-        for tok in self.tokens:
-            if not 0 <= tok < self.alphabet.num_categories:
-                raise InvalidDistributionError(f"aux token {tok} out of range (mask excluded)")
-        if self.time < 0:
-            raise InvalidDistributionError("time must be >= 0")
-
-
 def forward_sample(
     x0: SequenceState, t: int, sched: NoiseSchedule, rng: np.random.Generator
 ) -> SequenceState:
@@ -228,100 +211,79 @@ def aux_posterior(data: JointTable, x_next: SequenceState) -> JointTable:
     return JointTable(data.alphabet, full.ravel())
 
 
+def positive_options(row: Sequence[float]) -> list[int]:
+    """Every index of `row` with positive mass: the pick that enumerates."""
+    return [k for k in range(len(row)) if row[k] > 0.0]
+
+
 @dataclass(frozen=True)
 class RemaskDistribution:
-    """Factorized (per chunk) distribution of x_t given the content layer x~_t
-    and x_{t+1}: masked positions keep their aux token with probability
-    1 - alpha_t/alpha_{t+1} and re-mask otherwise; unmasked positions copy
-    x_{t+1} exactly."""
+    """Factorized (per chunk) distribution of x_t given x_{t+1} and a
+    mask-free content layer x~_t: each masked chunk of x_{t+1} re-masks with
+    probability alpha_t/alpha_{t+1} and keeps its content tokens otherwise;
+    unmasked positions copy x_{t+1} exactly."""
 
-    x_tilde: AuxSequence
     x_next: SequenceState
     ratio: float
-    mask_chunks: tuple[tuple[int, ...], ...]
+    mask_chunks: tuple[tuple[int, ...], ...]  # the masked chunks of x_{t+1}, each consecutive
 
-    @property
-    def time(self) -> int:
-        return self.x_tilde.time
+    def _content(self, x_tilde: Sequence[int]) -> tuple[int, ...]:
+        """x~_t as tokens, checked to be mask-free and to agree with x_{t+1}."""
+        alphabet = self.x_next.alphabet
+        tokens = tuple(int(tok) for tok in x_tilde)
+        if len(tokens) != alphabet.num_positions:
+            raise AlphabetMismatchError("token count does not match the alphabet")
+        for tok in tokens:
+            if not 0 <= tok < alphabet.num_categories:
+                raise InvalidDistributionError(f"content token {tok} out of range (mask excluded)")
+        for j in self.x_next.unmasked_positions:
+            if tokens[j] != self.x_next.tokens[j]:
+                raise ClampError(f"content layer disagrees with x_next at position {j}")
+        return tokens
 
-    @property
-    def rows(self) -> MarginalSet:
+    def rows(self, x_tilde: Sequence[int]) -> MarginalSet:
         """Per-position law of x_t over the state alphabet (mask = column C)."""
-        n, c = self.x_next.alphabet.num_positions, self.x_next.alphabet.num_categories
-        masked = set(self.x_next.masked_positions)
-        rows = np.zeros((n, c + 1), dtype=np.float64)
-        for i in range(n):
-            if i in masked:
-                rows[i, c] = self.ratio
-                rows[i, self.x_tilde.tokens[i]] += 1.0 - self.ratio
-            else:
-                rows[i, self.x_next.tokens[i]] = 1.0
+        tokens = self._content(x_tilde)
+        c = self.x_next.alphabet.num_categories
+        rows = np.zeros((len(tokens), c + 1), dtype=np.float64)
+        rows[np.arange(len(tokens)), tokens] = 1.0
+        for i in self.x_next.masked_positions:
+            rows[i, c] = self.ratio
+            rows[i, tokens[i]] = 1.0 - self.ratio
         return MarginalSet(rows, includes_mask=True)
 
-    def sample(self, rng: np.random.Generator) -> SequenceState:
+    def outcomes(
+        self, x_tilde: Sequence[int], pick: Callable[[tuple[float, float]], Iterable[int]]
+    ) -> list[tuple[SequenceState, float]]:
+        """x_t with its probability, chunk by chunk and breadth-first: each
+        masked chunk takes the options `pick` chooses (once per chunk) from
+        its row (re-mask, keep) = (ratio, 1 - ratio)."""
         mask = self.x_next.alphabet.mask_index
-        tokens = list(self.x_tilde.tokens)
-        for j in self.x_next.unmasked_positions:
-            tokens[j] = self.x_next.tokens[j]
+        row = (self.ratio, 1.0 - self.ratio)
+        paths = [(self._content(x_tilde), 1.0)]
         for group in self.mask_chunks:
-            if rng.random() < self.ratio:
-                for i in group:
-                    tokens[i] = mask
-        return SequenceState(tuple(tokens), self.time, self.x_next.alphabet)
-
-    def support(self) -> Iterator[tuple[SequenceState, float]]:
-        """All outcomes with positive probability (2**num_chunks at most)."""
-        mask = self.x_next.alphabet.mask_index
-        base = list(self.x_tilde.tokens)
-        for j in self.x_next.unmasked_positions:
-            base[j] = self.x_next.tokens[j]
-        options: list[list[tuple[bool, float]]] = []
-        for _ in self.mask_chunks:
-            opts = []
-            if self.ratio > 0.0:
-                opts.append((True, self.ratio))
-            if self.ratio < 1.0:
-                opts.append((False, 1.0 - self.ratio))
-            options.append(opts)
-        for combo in itertools.product(*options):
-            tokens = list(base)
-            p = 1.0
-            for group, (masked, prob) in zip(self.mask_chunks, combo):
-                p *= prob
-                if masked:
-                    for i in group:
-                        tokens[i] = mask
-            yield SequenceState(tuple(tokens), self.time, self.x_next.alphabet), p
+            lo, hi = group[0], group[-1] + 1
+            options = list(pick(row))
+            grown = []
+            for tokens, p in paths:
+                remasked = tokens[:lo] + (mask,) * (hi - lo) + tokens[hi:]
+                grown.extend((remasked if k == 0 else tokens, p * row[k]) for k in options)
+            paths = grown
+        t = self.x_next.time - 1
+        return [(SequenceState(tokens, t, self.x_next.alphabet), p) for tokens, p in paths]
 
 
-def remask_kernel(
-    x_tilde: AuxSequence, x_next: SequenceState, sched: NoiseSchedule
-) -> RemaskDistribution:
-    """Kernel q(x_t | x~_t, x_{t+1}) at t = the time of x~_t; requires x_{t+1}
-    one step later and agreement with it on its unmasked positions."""
-    if x_tilde.alphabet != x_next.alphabet:
-        raise AlphabetMismatchError("aux sequence and state disagree on the alphabet")
-    t = x_tilde.time
-    if x_next.time != t + 1:
-        raise InvalidDistributionError(
-            f"need x_next one step after x_tilde (t={t}), got time {x_next.time}"
-        )
-    for j in x_next.unmasked_positions:
-        if x_tilde.tokens[j] != x_next.tokens[j]:
-            raise ClampError(f"aux sequence disagrees with evidence at position {j}")
-    ratio = sched.mask_ratio(t)
+def remask_kernel(x_next: SequenceState, sched: NoiseSchedule) -> RemaskDistribution:
+    """Kernel q(x_t | x~_t, x_{t+1}) at t = x_{t+1} time - 1. Raises
+    ScheduleError for a time outside [1, T] and ClampError for a chunked
+    state with a partly masked chunk."""
+    ratio = sched.mask_ratio(x_next.time - 1)
     masked = set(x_next.masked_positions)
-    groups = []
-    for group in chunk_groups(x_next.alphabet.num_positions, sched.chunk_size):
-        in_i = tuple(i for i in group if i in masked)
-        if not in_i:
-            continue
-        if sched.chunk_size > 1 and len(in_i) != len(group):
-            raise ClampError(
-                "chunked process states mask whole chunks; got a mixed chunk"
-            )
-        groups.append(in_i)
-    return RemaskDistribution(x_tilde, x_next, ratio, tuple(groups))
+    chunks = chunk_groups(x_next.alphabet.num_positions, sched.chunk_size)
+    groups = tuple(group for group in chunks if masked.intersection(group))
+    if not all(masked.issuperset(group) for group in groups):
+        raise ClampError("chunked process states mask whole chunks; got a mixed chunk")
+    return RemaskDistribution(x_next, ratio, groups)
 
 
 # ---------------------------------------------------------------------------

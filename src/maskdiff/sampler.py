@@ -4,7 +4,8 @@ Every run starts from the all-mask prior at time T and walks t = T-1 .. 0.
 Each mode defines its reverse step at x_{t+1} once, as a `StepLaw` with
 three parts: the positions the content layer fills (unmasked positions of
 x_{t+1} are clamped), the row each masked position is drawn from, and how
-the step ends.
+the step ends: in the re-mask kernel built from x_{t+1}, or with MASK at
+every position past the fill.
 
   dcd            fills all N positions from copula(x_i | prefix) *
                  exp(beta * V[i, x_i]), where V[i,c] = log full_i(c) -
@@ -22,9 +23,10 @@ the step ends.
                  exactly once across the whole run (N queries total,
                  independent of T).
 
-One left-to-right walker consumes a law. `sample` draws one category per
-masked position; `enumerate_aux_distribution` and
-`enumerate_step_distribution` keep every category with positive mass and so
+One left-to-right walker consumes a law, and `_outcomes` ends each content
+layer's step. `sample` draws one category per masked position and one
+re-mask decision per masked chunk; `enumerate_aux_distribution` and
+`enumerate_step_distribution` keep every option with positive mass and so
 give the per-step law exactly. The dynamic-programming evaluation in the
 harness builds on them.
 """
@@ -34,7 +36,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from math import ceil
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -53,7 +55,13 @@ from .models import (
     dm_marginals_causal,
     dm_marginals_full,
 )
-from .noising import AuxSequence, NoiseSchedule, SequenceState, remask_kernel
+from .noising import (
+    NoiseSchedule,
+    RemaskDistribution,
+    SequenceState,
+    positive_options,
+    remask_kernel,
+)
 
 MODE_DCD = "dcd"
 MODE_DIFFUSION_ONLY = "diffusion_only"
@@ -109,20 +117,23 @@ class SamplerConfig:
             raise InvalidDistributionError("steps must equal schedule.steps")
         if self.chunk_size != self.schedule.chunk_size:
             raise InvalidDistributionError("chunk_size must match the schedule")
-        if not self.beta >= 0.0:
-            raise InvalidDistributionError("beta must be >= 0")
+        if not (self.beta >= 0.0 and np.isfinite(self.beta)):
+            raise InvalidDistributionError(f"beta must be finite and >= 0, got {self.beta!r}")
 
 
 @dataclass(frozen=True)
 class StepRecord:
-    t: int
     x_next: SequenceState
     x_t: SequenceState
-    x_tilde: AuxSequence | None = None
+    x_tilde: tuple[int, ...] | None = None  # content layer, when the step re-masks
     factors: FactorMatrix | None = None
     full: MarginalSet | None = None
     causal: MarginalSet | None = None
     copula_queries: int = 0
+
+    @property
+    def t(self) -> int:
+        return self.x_t.time
 
 
 @dataclass
@@ -130,8 +141,12 @@ class SampleTrace:
     mode: str
     seed: int
     beta: float
-    states: list[SequenceState] = field(default_factory=list)
     steps: list[StepRecord] = field(default_factory=list)
+
+    @property
+    def states(self) -> list[SequenceState]:
+        """x_T, then the state after each step."""
+        return [rec.x_next for rec in self.steps[:1]] + [rec.x_t for rec in self.steps]
 
     @property
     def copula_queries_total(self) -> int:
@@ -150,7 +165,7 @@ class SampleTrace:
             if rec.factors is not None:
                 lines.extend(_fmt_rows("  V", rec.factors.values))
             if rec.x_tilde is not None:
-                lines.append("  x_tilde: " + " ".join(str(t) for t in rec.x_tilde.tokens))
+                lines.append("  x_tilde: " + " ".join(str(t) for t in rec.x_tilde))
             lines.append("  " + _fmt_state("x_t", rec.x_t))
             lines.append(f"  copula_queries: {rec.copula_queries}")
             lines.append(_fmt_state("state", rec.x_t))
@@ -178,13 +193,13 @@ class StepLaw:
     """One reverse step from x_{t+1} to time t (ar_only steps from T straight
     to 0). The content layer fills positions [0, fill): positions unmasked in
     x_{t+1} are clamped, masked ones are drawn from `row`. With `remask` set
-    the step ends in the exact re-mask kernel of that schedule; without it,
-    positions >= fill stay MASK."""
+    the step ends in that re-mask kernel; without it, positions >= fill stay
+    MASK."""
 
     x_next: SequenceState
     t: int
     fill: int
-    remask: NoiseSchedule | None
+    remask: RemaskDistribution | None
     copula: ARCopulaModel | None = None  # rows are copula conditionals ...
     factors: FactorMatrix | None = None  # ... reweighted by exp(beta * V)
     full: MarginalSet | None = None  # rows when there is no copula
@@ -223,12 +238,13 @@ def _fused_law(
     x_next: SequenceState,
     cfg: SamplerConfig,
     fill: int,
-    remask: NoiseSchedule | None,
+    remask: bool,
 ) -> StepLaw:
     full = dm_marginals_full(dm, x_next)
     causal = dm_marginals_causal(dm, x_next)
     factors = dcd_factors(full, causal, cfg.beta)
-    return StepLaw(x_next, x_next.time - 1, fill, remask, copula, factors, full, causal)
+    kernel = remask_kernel(x_next, cfg.schedule) if remask else None
+    return StepLaw(x_next, x_next.time - 1, fill, kernel, copula, factors, full, causal)
 
 
 def dcd_step(
@@ -238,7 +254,7 @@ def dcd_step(
     cfg: SamplerConfig,
 ) -> StepLaw:
     _check_time(x_next, cfg)
-    return _fused_law(dm, copula, x_next, cfg, x_next.alphabet.num_positions, cfg.schedule)
+    return _fused_law(dm, copula, x_next, cfg, x_next.alphabet.num_positions, True)
 
 
 def diffusion_only_step(
@@ -248,8 +264,9 @@ def diffusion_only_step(
     cfg: SamplerConfig,
 ) -> StepLaw:
     _check_time(x_next, cfg)
-    n = x_next.alphabet.num_positions
-    return StepLaw(x_next, x_next.time - 1, n, cfg.schedule, full=dm_marginals_full(dm, x_next))
+    full = dm_marginals_full(dm, x_next)
+    kernel = remask_kernel(x_next, cfg.schedule)
+    return StepLaw(x_next, x_next.time - 1, x_next.alphabet.num_positions, kernel, full=full)
 
 
 def dcd_ar_unmask_step(
@@ -267,7 +284,7 @@ def dcd_ar_unmask_step(
             "dcd_ar_unmask expects an unmasked prefix of length "
             f"{prev_u}, got positions {x_next.unmasked_positions}"
         )
-    return _fused_law(dm, copula, x_next, cfg, new_u, None)
+    return _fused_law(dm, copula, x_next, cfg, new_u, False)
 
 
 def ar_unmask_schedule(num_positions: int, steps: int) -> tuple[int, ...]:
@@ -316,19 +333,20 @@ def _walk(law: StepLaw, pick: Pick) -> list[tuple[tuple[int, ...], float]]:
     return paths
 
 
-def _every_category(row: np.ndarray) -> list[int]:
-    return [cat for cat in range(len(row)) if row[cat] > 0.0]
-
-
-def _sample_categorical(row: np.ndarray, rng: np.random.Generator) -> int:
-    return int(rng.choice(len(row), p=row / row.sum()))
-
-
-def _padded(law: StepLaw, tokens: tuple[int, ...]) -> SequenceState:
-    """x_t of a step without re-masking: positions >= fill stay MASK."""
+def _outcomes(
+    law: StepLaw, pick: Pick, remask_pick: Pick
+) -> Iterator[tuple[tuple[int, ...], SequenceState, float]]:
+    """(content layer, x_t, weight) of the step: each content layer from
+    `_walk`, then the re-mask outcomes `remask_pick` chooses or, without a
+    kernel, MASK at every position >= fill."""
     alphabet = law.x_next.alphabet
     pad = (alphabet.mask_index,) * (alphabet.num_positions - law.fill)
-    return SequenceState(tokens + pad, law.t, alphabet)
+    for tokens, weight in _walk(law, pick):
+        if law.remask is None:
+            yield tokens, SequenceState(tokens + pad, law.t, alphabet), weight
+            continue
+        for x_t, p in law.remask.outcomes(tokens, remask_pick):
+            yield tokens, x_t, weight * p
 
 
 # ---------------------------------------------------------------------------
@@ -349,24 +367,20 @@ def sample(
         rng = np.random.default_rng(cfg.seed)
 
     def draw(row: np.ndarray) -> tuple[int]:
-        return (_sample_categorical(row, rng),)
+        return (int(rng.choice(len(row), p=row / row.sum())),)
+
+    def remask_or_keep(row: tuple[float, float]) -> tuple[int]:
+        return (0 if rng.random() < row[0] else 1,)
 
     trace = SampleTrace(cfg.mode, cfg.seed, cfg.beta)
     x = SequenceState.all_masked(alphabet, cfg.steps)
-    trace.states.append(x)
     while x.time > 0:
         law = _step_law(dm, copula, x, cfg)
-        [(tokens, _)] = _walk(law, draw)
-        x_tilde = None
-        if law.remask is None:
-            x_t = _padded(law, tokens)
-        else:
-            x_tilde = AuxSequence(tokens, law.t, alphabet)
-            x_t = remask_kernel(x_tilde, x, law.remask).sample(rng)
+        [(tokens, x_t, _)] = _outcomes(law, draw, remask_or_keep)
+        x_tilde = None if law.remask is None else tokens
         trace.steps.append(
-            StepRecord(law.t, x, x_t, x_tilde, law.factors, law.full, law.causal, law.copula_queries)
+            StepRecord(x, x_t, x_tilde, law.factors, law.full, law.causal, law.copula_queries)
         )
-        trace.states.append(x_t)
         x = x_t
     return x, trace
 
@@ -386,7 +400,7 @@ def enumerate_aux_distribution(
     if cfg.mode not in (MODE_DCD, MODE_DIFFUSION_ONLY):
         raise InvalidDistributionError(f"no aux layer to enumerate for mode {cfg.mode!r}")
     check_models(dm, copula, cfg.mode)
-    return dict(_walk(_step_law(dm, copula, x_next, cfg), _every_category))
+    return dict(_walk(_step_law(dm, copula, x_next, cfg), positive_options))
 
 
 def enumerate_step_distribution(
@@ -402,11 +416,6 @@ def enumerate_step_distribution(
     check_models(dm, copula, cfg.mode)
     law = _step_law(dm, copula, x_next, cfg)
     out: dict[SequenceState, float] = defaultdict(float)
-    for tokens, weight in _walk(law, _every_category):
-        if law.remask is None:
-            out[_padded(law, tokens)] += weight
-            continue
-        kernel = remask_kernel(AuxSequence(tokens, law.t, x_next.alphabet), x_next, law.remask)
-        for state, p in kernel.support():
-            out[state] += weight * p
+    for _, x_t, weight in _outcomes(law, positive_options, positive_options):
+        out[x_t] += weight
     return dict(out)

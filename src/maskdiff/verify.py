@@ -54,11 +54,11 @@ from .iproj import (
     objective_gradient,
 )
 from .noising import (
-    AuxSequence,
     SequenceState,
     aux_posterior,
     brute_reverse_posterior,
     make_schedule,
+    positive_options,
     remask_kernel,
     renormalize_marginals,
 )
@@ -232,9 +232,9 @@ def _factorization_gap(data: JointTable, x_next: SequenceState, sched) -> float:
     aux = aux_posterior(data, x_next)
     combined = np.zeros(brute.alphabet.num_states)
     aux_states = all_states(data.alphabet)
+    kernel = remask_kernel(x_next, sched)
     for idx in np.nonzero(aux.probs)[0]:
-        x_tilde = AuxSequence(tuple(aux_states[idx]), x_next.time - 1, data.alphabet)
-        for state, p in remask_kernel(x_tilde, x_next, sched).support():
+        for state, p in kernel.outcomes(aux_states[idx], positive_options):
             combined[state_to_index(brute.alphabet, state.tokens)] += aux.probs[idx] * p
     return float(np.max(np.abs(combined - brute.probs)))
 
@@ -260,9 +260,9 @@ def suite_prop5() -> list[CheckResult]:
                 x_next.tokens[i] if not x_next.is_masked(i) else int(rng.integers(0, 2))
                 for i in range(3)
             ]
-            kern = remask_kernel(AuxSequence(tuple(tokens), t, data.alphabet), x_next, sched)
+            rows = remask_kernel(x_next, sched).rows(tokens).rows
             for i in x_next.masked_positions:
-                if kern.rows.rows[i, data.alphabet.mask_index] != sched.mask_ratio(t):
+                if rows[i, data.alphabet.mask_index] != sched.mask_ratio(t):
                     ok = False
     _check(out, "prop5", "remask_mass_exact", ok)
     # chunked variant: chunks behave as super-tokens

@@ -46,12 +46,12 @@ from maskdiff.models import (
     dm_marginals_full,
 )
 from maskdiff.noising import (
-    AuxSequence,
     SequenceState,
     aux_posterior,
     brute_reverse_posterior,
     forward_state_distribution,
     make_schedule,
+    positive_options,
     remask_kernel,
     renormalize_marginals,
 )
@@ -190,13 +190,11 @@ def test_criterion_4_kernel_identities():
             brute = brute_reverse_posterior(data, x_next, sched)
             aux = aux_posterior(data, x_next)
             combined = np.zeros(brute.alphabet.num_states)
+            kern = remask_kernel(x_next, sched)
             for k, aux_tokens in enumerate(aux_states):
                 if aux.probs[k] <= 0.0:
                     continue
-                kern = remask_kernel(
-                    AuxSequence(aux_tokens, t, data.alphabet), x_next, sched
-                )
-                for state, p in kern.support():
+                for state, p in kern.outcomes(aux_tokens, positive_options):
                     combined[state_to_index(brute.alphabet, state.tokens)] += (
                         aux.probs[k] * p
                     )

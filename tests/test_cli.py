@@ -110,6 +110,13 @@ def test_sample_writes_sequences_and_is_deterministic(tmp_path, data_file):
         assert len(tokens) == 2 and all(t in (0, 1) for t in tokens)
 
 
+def test_sample_non_finite_beta_is_exit_2(tmp_path, data_file, capsys):
+    assert run(["sample", "--data", str(data_file), "--beta", "inf",
+                "--out", str(tmp_path / "s.txt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: beta must be finite") and err.count("\n") == 1
+
+
 def test_eval_prints_metrics(tmp_path, data_file, capsys):
     assert run(["eval", "--data", str(data_file), "--mode", "dcd", "--steps", "1"]) == 0
     out = capsys.readouterr().out

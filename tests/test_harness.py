@@ -206,6 +206,28 @@ def test_bound_and_optimal_nelbo_equal_the_per_state_sum_bit_for_bit(family, chu
         assert nelbo_factorized(data, sched, optimal_factorized_denoiser(data, sched)) == nelbo
 
 
+def test_bounds_build_each_forward_marginal_once(monkeypatch):
+    from maskdiff import harness
+
+    data = random_table(np.random.default_rng(133), 3, 2)
+    sched = make_schedule("linear", 4)
+    bound, nelbo = _per_state_bounds(data, sched)
+    denoiser = optimal_factorized_denoiser(data, sched)
+    calls = []
+    real = harness.forward_state_distribution
+
+    def counting(data, t, sched):
+        calls.append(t)
+        return real(data, t, sched)
+
+    monkeypatch.setattr(harness, "forward_state_distribution", counting)
+    assert elbo_bound(data, sched) == bound
+    assert calls == [0, 1, 2, 3, 4]
+    calls.clear()
+    assert nelbo_factorized(data, sched, denoiser) == nelbo
+    assert calls == [0, 1, 2, 3, 4]
+
+
 def test_optimal_denoiser_rejects_a_time_outside_the_schedule():
     data = correlated_pair()
     optimal = optimal_factorized_denoiser(data, make_schedule("linear", 2))

@@ -16,7 +16,7 @@ from maskdiff.dist import (
     total_variation,
     univariate_marginals,
 )
-from maskdiff.errors import PositivityError
+from maskdiff.errors import InvalidDistributionError, PositivityError
 from maskdiff.iproj import (
     FactorMatrix,
     apply_factors,
@@ -75,6 +75,12 @@ def test_beta_scales_at_application_time():
     half, _ = apply_factors(p, FactorMatrix(values, beta=0.5))
     scaled, _ = apply_factors(p, FactorMatrix(0.5 * values, beta=1.0))
     np.testing.assert_allclose(half.probs, scaled.probs, atol=1e-14)
+
+
+@pytest.mark.parametrize("beta", [math.inf, -math.inf, math.nan, -1.0])
+def test_beta_must_be_finite_and_non_negative(beta):
+    with pytest.raises(InvalidDistributionError, match="beta must be finite"):
+        FactorMatrix(np.zeros((2, 2)), beta=beta)
 
 
 # ---------------------------------------------------------------------------

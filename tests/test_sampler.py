@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from maskdiff.dist import (
     total_correlation,
     univariate_marginals,
 )
-from maskdiff.errors import AlphabetMismatchError, InvalidDistributionError
+from maskdiff.errors import AlphabetMismatchError, ClampError, InvalidDistributionError
 from maskdiff.harness import SyntheticSpec, gen_data, induced_distribution, kl_to_data
 from maskdiff.models import (
     ARCopulaModel,
@@ -22,6 +24,7 @@ from maskdiff.models import (
     ar_conditional,
     dm_marginals_full,
 )
+from maskdiff import sampler as sampler_mod
 from maskdiff.noising import SequenceState, aux_posterior, make_schedule
 from maskdiff.sampler import (
     MODES,
@@ -325,6 +328,71 @@ def test_trace_dump_shape():
     assert text.startswith("mode=dcd")
     assert "total_copula_queries:" in text
     assert text.count("step t=") == 2
+
+
+def test_trace_stores_each_state_once():
+    data = correlated_pair()
+    dm, cop = exact_models(data)
+    for mode in MODES:
+        x, trace = sample(dm, cop, config(mode, 2, seed=3))
+        assert trace.states[0] == trace.steps[0].x_next == SequenceState.all_masked(data.alphabet, 2)
+        assert trace.states[1:] == [rec.x_t for rec in trace.steps] and trace.states[-1] == x
+        assert all(rec.t == rec.x_t.time for rec in trace.steps)
+        assert all(prev.x_t == rec.x_next for prev, rec in zip(trace.steps, trace.steps[1:]))
+
+
+@pytest.mark.parametrize("mode,kernels", [
+    ("dcd", 1), ("diffusion_only", 1), ("dcd_ar_unmask", 0),
+])
+def test_enumeration_builds_one_remask_kernel_per_step(monkeypatch, mode, kernels):
+    data = random_table(np.random.default_rng(111), 3, 2, floor=True)
+    dm, cop = exact_models(data)
+    calls = []
+    real = sampler_mod.remask_kernel
+
+    def counting(x_next, sched):
+        calls.append(x_next)
+        return real(x_next, sched)
+
+    monkeypatch.setattr(sampler_mod, "remask_kernel", counting)
+    law = enumerate_step_distribution(dm, cop, SequenceState.all_masked(data.alphabet, 3),
+                                      config(mode, 3))
+    assert len(law) > 1  # many content layers, one kernel
+    assert len(calls) == kernels
+
+
+def test_step_law_rejects_a_state_outside_the_chunked_process():
+    data = random_table(np.random.default_rng(113), 4, 2, floor=True)
+    dm, cop = exact_models(data)
+    mask = data.alphabet.mask_index
+    x_next = SequenceState((mask, 0, mask, mask), 2, data.alphabet)  # chunk (0, 1) half masked
+    for mode in ("dcd", "diffusion_only"):
+        with pytest.raises(ClampError, match="mixed chunk"):
+            enumerate_step_distribution(dm, cop, x_next, config(mode, 2, chunk=2))
+        assert len(enumerate_step_distribution(dm, cop, x_next, config(mode, 2))) > 1
+
+
+@pytest.mark.parametrize("chunk", [1, 2])
+def test_sample_draws_one_double_per_masked_position_and_chunk(chunk):
+    # diffusion_only at T=2 re-masks with ratio 1/2, then with ratio 0
+    data = random_table(np.random.default_rng(112), 4, 2, floor=True)
+    dm, _ = exact_models(data)
+    for seed in range(5):
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        _, trace = sample(dm, None, config("diffusion_only", 2, chunk=chunk), rng)
+        doubles = 0
+        for rec in trace.steps:
+            masked = set(rec.x_next.masked_positions)
+            chunks = [g for g in range(0, 4, chunk) if g in masked]
+            doubles += len(masked) + len(chunks)
+        twin.random(doubles)
+        assert rng.random() == twin.random()
+
+
+@pytest.mark.parametrize("beta", [math.inf, -math.inf, math.nan, -1.0])
+def test_beta_must_be_finite_and_non_negative(beta):
+    with pytest.raises(InvalidDistributionError, match="beta must be finite"):
+        config("dcd", 2, beta=beta)
 
 
 def test_invalid_mode_and_mismatched_schedule_rejected():
