@@ -6,6 +6,12 @@ Full enumeration is the point: every quantity below is computed exactly (up
 to float64 rounding), so these objects double as oracles for everything else
 in the package. The enumeration cap K**N <= 10**7 is enforced at construction.
 
+Kernels work on the (K,)*N tensor view of a table: a per-position row
+(or a block over consecutive positions) acts along its own axes
+(`along_axis`) and a per-position marginal is a sum over every other axis
+(`position_sum`). `all_states`, the explicit
+(K**N, N) index array, is the enumeration the oracles walk.
+
 Functionals: entropy, KL divergence, univariate marginals, total correlation
 (KL between a joint and the product of its marginals), exact conditioning,
 and - for binary alphabets - conditional odds ratios, which parameterize the
@@ -23,7 +29,6 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -91,20 +96,11 @@ class Alphabet:
         return Alphabet(self.num_positions, self.num_categories + 1)
 
 
-@lru_cache(maxsize=None)
-def _states_cached(num_positions: int, num_categories: int) -> np.ndarray:
-    if num_positions == 0:
-        arr = np.zeros((1, 0), dtype=np.int64)
-    else:
-        grids = np.indices((num_categories,) * num_positions)
-        arr = grids.reshape(num_positions, -1).T.astype(np.int64)
-    arr.setflags(write=False)
-    return arr
-
-
 def all_states(alphabet: Alphabet) -> np.ndarray:
-    """(num_states, N) array of every assignment, in table order. Read-only."""
-    return _states_cached(alphabet.num_positions, alphabet.num_categories)
+    """(num_states, N) array of every assignment, in table order, built on
+    each call: N int64 entries per state, for oracles that enumerate."""
+    grids = np.indices((alphabet.num_categories,) * alphabet.num_positions, dtype=np.int64)
+    return grids.reshape(alphabet.num_positions, alphabet.num_states).T
 
 
 def state_to_index(alphabet: Alphabet, tokens: Sequence[int]) -> int:
@@ -226,15 +222,24 @@ def kl(p: JointTable, q: JointTable) -> float:
     return max(val, 0.0)
 
 
+def along_axis(block: np.ndarray, i: int, ndim: int) -> np.ndarray:
+    """`block` shaped to broadcast against an ndim-axis tensor with its last
+    axis on axis i: a row acts along axis i, a k-axis block on axes i-k+1..i."""
+    return np.reshape(block, np.shape(block) + (1,) * (ndim - 1 - i))
+
+
+def position_sum(tensor: np.ndarray, i: int) -> np.ndarray:
+    """Sum of a (K,)*N tensor over every axis but i: its length-K row at position i."""
+    return tensor.sum(axis=tuple(j for j in range(tensor.ndim) if j != i))
+
+
 def univariate_marginals(p: JointTable, *, includes_mask: bool = False) -> MarginalSet:
     """Exact per-position marginals. Set includes_mask when p lives on a
     state alphabet whose last category is the mask."""
-    n = p.num_positions
     tensor = p.tensor()
-    rows = np.empty((n, p.num_categories), dtype=np.float64)
-    for i in range(n):
-        axes = tuple(j for j in range(n) if j != i)
-        rows[i] = tensor.sum(axis=axes)
+    rows = np.empty((p.num_positions, p.num_categories), dtype=np.float64)
+    for i in range(p.num_positions):
+        rows[i] = position_sum(tensor, i)
     return MarginalSet(rows, includes_mask=includes_mask)
 
 
@@ -287,7 +292,8 @@ def total_variation(p: JointTable, q: JointTable) -> float:
 def sample_states(p: JointTable, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n i.i.d. assignments, returned as an (n, N) int array."""
     idx = rng.choice(p.alphabet.num_states, size=n, p=p.probs)
-    return np.asarray(all_states(p.alphabet)[idx], dtype=np.int64)
+    tokens = np.unravel_index(idx, p.tensor().shape) if p.num_positions else ()
+    return np.array(tokens, dtype=np.int64).reshape(p.num_positions, n).T.copy()
 
 
 # ---------------------------------------------------------------------------

@@ -30,17 +30,18 @@ from .dist import (
     Alphabet,
     JointTable,
     MarginalSet,
-    all_states,
     entropy,
     format_float_short,
     kl,
     product_table,
     state_to_index,
     total_correlation,
+    total_variation,
     univariate_marginals,
 )
 from .errors import CapExceededError, InvalidDistributionError, ScheduleError, SupportError
-from .models import ARCopulaModel, DiffusionMarginalModel, ar_chain_table
+from .iproj import apply_factors, iproject_exact
+from .models import ARCopulaModel, DiffusionMarginalModel, ar_chain_table, dm_marginals_full
 from .noising import (
     NoiseSchedule,
     SequenceState,
@@ -53,6 +54,7 @@ from .sampler import (
     MODES,
     SamplerConfig,
     check_models,
+    enumerate_aux_distribution,
     enumerate_step_distribution,
     sample,
 )
@@ -124,10 +126,9 @@ def reachable_states(
 def _support(
     qt: JointTable, t: int, alphabet: Alphabet
 ) -> Iterator[tuple[SequenceState, float]]:
-    states = all_states(qt.alphabet)
-    for idx in np.nonzero(qt.probs)[0]:
-        tokens = tuple(int(v) for v in states[idx])
-        yield SequenceState(tokens, t, alphabet), float(qt.probs[idx])
+    tensor = qt.tensor()
+    for tokens in map(tuple, np.argwhere(tensor).tolist()):
+        yield SequenceState(tokens, t, alphabet), float(tensor[tokens])
 
 
 def _posteriors(
@@ -271,11 +272,6 @@ def rankwise_projection_gap(
     masked positions. Measures what the row-independent update (plus its
     causal-context substitution) gives away; no bound is asserted anywhere,
     this is a diagnostic."""
-    from .dist import total_variation
-    from .iproj import apply_factors, iproject_exact
-    from .models import dm_marginals_full
-    from .sampler import SamplerConfig, enumerate_aux_distribution
-
     masked = x_next.masked_positions
     if not masked:
         return 0.0

@@ -17,6 +17,11 @@ minimizer, hence the objective never increases across sweeps. A plain
 gradient-descent solver of the same objective is provided as an independent
 cross-check.
 
+The production kernels keep the weights as the table's (C,)*N tensor: row
+V[i,:] is broadcast along axis i and a marginal is an axis sum. The descent
+solver walks the explicit `all_states` index array instead, so the two
+paths share no evaluation code.
+
 Row rescalings leave every conditional odds ratio unchanged, so applying any
 V preserves the copula of p_est while moving its marginals.
 
@@ -38,6 +43,8 @@ from .dist import (
     MarginalSet,
     POSITIVITY_FLOOR,
     all_states,
+    along_axis,
+    position_sum,
 )
 from .errors import AlphabetMismatchError, InvalidDistributionError, PositivityError
 
@@ -104,10 +111,13 @@ def _check_shapes(p_est: JointTable, v: FactorMatrix) -> None:
         )
 
 
-def _factor_sums(values: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """sum_i values[i, x_i] for every state row x."""
-    n = values.shape[0]
-    return values[np.arange(n)[None, :], states].sum(axis=1)
+def _factor_sums(values: np.ndarray) -> np.ndarray:
+    """sum_i values[i, x_i] as a (C,)*N tensor."""
+    n, c = values.shape
+    total = np.zeros((c,) * n, dtype=np.float64)
+    for i in range(n):
+        total += along_axis(values[i], i, n)
+    return total
 
 
 def apply_factors(p_est: JointTable, v: FactorMatrix) -> tuple[JointTable, float]:
@@ -116,8 +126,7 @@ def apply_factors(p_est: JointTable, v: FactorMatrix) -> tuple[JointTable, float
     _check_shapes(p_est, v)
     if p_est.probs.min() <= 0.0:
         raise PositivityError("apply_factors requires a strictly positive table")
-    states = all_states(p_est.alphabet)
-    log_w = np.log(p_est.probs) + v.beta * _factor_sums(v.values, states)
+    log_w = np.log(p_est.tensor()) + v.beta * _factor_sums(v.values)
     log_z = _logsumexp(log_w)
     probs = np.exp(log_w - log_z)
     return JointTable(p_est.alphabet, probs), float(np.exp(log_z))
@@ -135,8 +144,7 @@ def objective(v: FactorMatrix, p_est: JointTable, target: MarginalSet) -> float:
     knob and deliberately does not enter here)."""
     _check_shapes(p_est, v)
     _check_target(p_est, target)
-    states = all_states(p_est.alphabet)
-    log_w = np.log(np.maximum(p_est.probs, POSITIVITY_FLOOR)) + _factor_sums(v.values, states)
+    log_w = np.log(np.maximum(p_est.tensor(), POSITIVITY_FLOOR)) + _factor_sums(v.values)
     mass = float(np.exp(_logsumexp(log_w)))
     return mass - float(np.sum(v.values * target.rows))
 
@@ -145,13 +153,8 @@ def objective_gradient(v: FactorMatrix, p_est: JointTable, target: MarginalSet) 
     """d L / d V[i,c] = unnormalized marginal of the rescaled table - target."""
     _check_shapes(p_est, v)
     _check_target(p_est, target)
-    states = all_states(p_est.alphabet)
-    w = p_est.probs * np.exp(_factor_sums(v.values, states))
-    n, c = v.values.shape
-    marg = np.stack(
-        [np.bincount(states[:, i], weights=w, minlength=c) for i in range(n)]
-    )
-    return marg - target.rows
+    w = p_est.tensor() * np.exp(_factor_sums(v.values))
+    return np.stack([position_sum(w, i) for i in range(v.num_positions)]) - target.rows
 
 
 # ---------------------------------------------------------------------------
@@ -163,13 +166,13 @@ def _floored_target(target: MarginalSet) -> np.ndarray:
     return rows / rows.sum(axis=1, keepdims=True)
 
 
-def _marginal_gap(w: np.ndarray, rows: np.ndarray, states: np.ndarray) -> float:
-    n, c = rows.shape
+def _marginal_gap(w: np.ndarray, rows: np.ndarray) -> float:
+    """Largest distance from the normalized marginals of the weight tensor w
+    to the target rows."""
     total = float(w.sum())
     gap = 0.0
-    for i in range(n):
-        marg = np.bincount(states[:, i], weights=w, minlength=c) / total
-        gap = max(gap, float(np.max(np.abs(marg - rows[i]))))
+    for i in range(rows.shape[0]):
+        gap = max(gap, float(np.max(np.abs(position_sum(w, i) / total - rows[i]))))
     return gap
 
 
@@ -192,23 +195,21 @@ def iproject_exact(
     if p_est.probs.min() <= 0.0:
         raise PositivityError("iproject_exact requires a strictly positive p_est")
     rows = _floored_target(target)
-    states = all_states(p_est.alphabet)
     n, c = rows.shape
     values = np.zeros((n, c), dtype=np.float64)
-    w = p_est.probs.copy()
+    w = p_est.tensor().copy()
     iterations = 0
-    gap = _marginal_gap(w, rows, states)
+    gap = _marginal_gap(w, rows)
     target_set = MarginalSet(rows)
     if on_sweep is not None:
         on_sweep(0, gap, objective(FactorMatrix(values), p_est, target_set))
     while gap > IPF_TOL and iterations < max_iter:
         for i in range(n):
-            cur = np.bincount(states[:, i], weights=w, minlength=c)
-            delta = np.log(rows[i]) - np.log(np.maximum(cur, POSITIVITY_FLOOR))
+            delta = np.log(rows[i]) - np.log(np.maximum(position_sum(w, i), POSITIVITY_FLOOR))
             values[i] += delta
-            w = w * np.exp(delta)[states[:, i]]
+            w *= along_axis(np.exp(delta), i, n)
         iterations += 1
-        gap = _marginal_gap(w, rows, states)
+        gap = _marginal_gap(w, rows)
         if on_sweep is not None:
             on_sweep(iterations, gap, objective(FactorMatrix(values), p_est, target_set))
     converged = gap <= IPF_TOL
@@ -277,7 +278,7 @@ def iproject_descent(
         if len(recent) > 10:
             recent.pop(0)
         iterations += 1
-    gap = _marginal_gap(w, rows, states)
+    gap = _marginal_gap(w.reshape(p_est.tensor().shape), rows)
     report = IprojReport(iterations, gap, obj, converged)
     return FactorMatrix(values).canonical(), report
 

@@ -30,6 +30,7 @@ from .dist import (
     parse_json_object,
     parse_table_doc,
     read_input,
+    state_to_index,
     univariate_marginals,
 )
 from .errors import (
@@ -238,7 +239,7 @@ def ar_chain_table(model: ARCopulaModel) -> JointTable:
     def recurse(prefix: tuple[int, ...], log_w: float) -> None:
         i = len(prefix)
         if i == n:
-            log_probs[_prefix_index(prefix, c)] = log_w
+            log_probs[state_to_index(alphabet, prefix)] = log_w
             return
         row = ar_conditional(model, prefix, i)
         for cat in range(c):
@@ -247,10 +248,3 @@ def ar_chain_table(model: ARCopulaModel) -> JointTable:
 
     recurse((), 0.0)
     return JointTable(alphabet, np.exp(log_probs))
-
-
-def _prefix_index(tokens: tuple[int, ...], num_categories: int) -> int:
-    idx = 0
-    for tok in tokens:
-        idx = idx * num_categories + tok
-    return idx

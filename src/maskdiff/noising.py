@@ -36,7 +36,7 @@ from .dist import (
     Alphabet,
     JointTable,
     MarginalSet,
-    all_states,
+    along_axis,
     condition,
 )
 from .errors import (
@@ -207,7 +207,7 @@ def aux_posterior(data: JointTable, x_next: SequenceState) -> JointTable:
     n, k = data.num_positions, data.num_categories
     full = np.zeros((k,) * n, dtype=np.float64)
     idx = tuple(evidence.get(i, slice(None)) for i in range(n))
-    full[idx] = cond.probs.reshape((k,) * cond.num_positions)
+    full[idx] = cond.tensor()
     return JointTable(data.alphabet, full.ravel())
 
 
@@ -327,22 +327,19 @@ def posterior_from_prior(
     if prior.alphabet != x_next.alphabet.with_mask():
         raise AlphabetMismatchError("prior table and state disagree on the alphabet")
     step_prob = sched.step_mask_prob(x_next.time - 1)
-    mask = x_next.alphabet.mask_index
-    states = all_states(prior.alphabet)
-    is_mask = states == mask
-    trans = np.ones(len(states), dtype=np.float64)
-    for group in chunk_groups(x_next.alphabet.num_positions, sched.chunk_size):
-        cols = slice(group[0], group[-1] + 1)
-        tokens = x_next.tokens[cols]
+    n, mask = x_next.alphabet.num_positions, x_next.alphabet.mask_index
+    trans = np.ones((mask + 1,) * n, dtype=np.float64)
+    for group in chunk_groups(n, sched.chunk_size):
+        # the chunk's factor over its own axes, 0 at every inconsistent source
+        tokens = x_next.tokens[group[0]:group[-1] + 1]
+        block = np.zeros((mask + 1,) * len(tokens), dtype=np.float64)
         if all(tok == mask for tok in tokens):
-            was_masked = is_mask[:, cols].all(axis=1)
-            ok = was_masked | ~is_mask[:, cols].any(axis=1)
-            factor = np.where(was_masked, 1.0, step_prob)
-        else:  # the chunk stays unmasked and equal to x_{t+1}
-            ok = (states[:, cols] == tokens).all(axis=1) & ~is_mask[:, cols].any(axis=1)
-            factor = 1.0 - step_prob
-        trans = np.where(ok, trans * factor, 0.0)
-    post = prior.probs * trans
+            block[(mask,) * len(tokens)] = 1.0
+            block[(slice(0, mask),) * len(tokens)] = step_prob
+        elif mask not in tokens:  # the chunk stays unmasked and equal to x_{t+1}
+            block[tokens] = 1.0 - step_prob
+        trans = trans * along_axis(block, group[-1], n)
+    post = prior.probs * trans.ravel()
     total = post.sum()
     if total <= 0.0:
         raise SupportError("x_next is unreachable under the forward process")

@@ -45,6 +45,7 @@ from .errors import (
     AlphabetMismatchError,
     ClampError,
     InvalidDistributionError,
+    ScheduleError,
     SupportError,
 )
 from .iproj import FactorMatrix, dcd_factors
@@ -211,7 +212,11 @@ class StepLaw:
         row = ar_conditional(self.copula, prefix, i)
         if self.factors is None:
             return row
-        weights = row * np.exp(self.factors.beta * self.factors.values[i])
+        expo = self.factors.beta * self.factors.values[i]
+        if np.abs(expo).max() > 700.0:  # exp overflows past 709
+            on_support = np.where(row > 0.0, expo, -np.inf)
+            expo = on_support - on_support.max()  # off-support entries weigh 0
+        weights = row * np.exp(expo)
         total = float(weights.sum())
         if total <= 0.0:
             raise SupportError(f"fused row at position {i} has no mass")
@@ -227,9 +232,7 @@ class StepLaw:
 
 def _check_time(x_next: SequenceState, cfg: SamplerConfig) -> None:
     if not 1 <= x_next.time <= cfg.steps:
-        raise InvalidDistributionError(
-            f"x_next carries time {x_next.time}, outside [1, {cfg.steps}]"
-        )
+        raise ScheduleError(f"x_next carries time {x_next.time}, outside [1, {cfg.steps}]")
 
 
 def _fused_law(

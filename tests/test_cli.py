@@ -110,6 +110,17 @@ def test_sample_writes_sequences_and_is_deterministic(tmp_path, data_file):
         assert len(tokens) == 2 and all(t in (0, 1) for t in tokens)
 
 
+def test_sample_at_large_beta_writes_sequences(tmp_path):
+    data = tmp_path / "markov.json"
+    assert run(["--seed", "1", "gen-data", "--kind", "markov_chain", "--num-positions", "4",
+                "--num-categories", "3", "--correlation-strength", "0.8", "--out", str(data)]) == 0
+    out = tmp_path / "s.txt"
+    # seed 3's first sequence meets a fused row whose exp(beta * V) overflows float64
+    assert run(["--seed", "3", "sample", "--data", str(data), "--mode", "dcd", "--steps", "4",
+                "--beta", "1000", "--num-samples", "4", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 4
+
+
 def test_sample_non_finite_beta_is_exit_2(tmp_path, data_file, capsys):
     assert run(["sample", "--data", str(data_file), "--beta", "inf",
                 "--out", str(tmp_path / "s.txt")]) == 2

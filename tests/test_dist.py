@@ -20,6 +20,7 @@ from maskdiff.dist import (
     loads_table,
     product_table,
     same_copula,
+    sample_states,
     state_to_index,
     total_correlation,
     univariate_marginals,
@@ -311,6 +312,15 @@ def test_lexicographic_order_position_zero_most_significant():
     assert state_to_index(alphabet, (0, 0, 1)) == 1
     np.testing.assert_array_equal(all_states(alphabet)[:3], [[0, 0, 0], [0, 0, 1], [0, 1, 0]])
     assert lex_states(3, 2) == [tuple(s) for s in all_states(alphabet)]
+
+
+def test_sample_states_are_the_drawn_rows_of_the_index_array():
+    for n, c in ((1, 5), (8, 3)):
+        table = random_table(np.random.default_rng(n), n, c)
+        idx = np.random.default_rng(7).choice(table.alphabet.num_states, size=400, p=table.probs)
+        drawn = sample_states(table, 400, np.random.default_rng(7))
+        assert drawn.dtype == np.int64 and drawn.shape == (400, n)
+        np.testing.assert_array_equal(drawn, all_states(table.alphabet)[idx])
 
 
 def test_serialization_round_trip_bit_stable():

@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from maskdiff import dist
 from maskdiff.dist import (
     JointTable,
     MarginalSet,
     entropy,
     kl,
     product_table,
+    sample_states,
     total_correlation,
     univariate_marginals,
 )
@@ -31,8 +34,15 @@ from maskdiff.harness import (
     results_to_csv,
     run_sweep,
 )
+from maskdiff.iproj import FactorMatrix, apply_factors, iproject_exact, objective, objective_gradient
 from maskdiff.models import ARCopulaModel, DiffusionMarginalModel, ar_chain_table
-from maskdiff.noising import SequenceState, brute_reverse_posterior, make_schedule
+from maskdiff.noising import (
+    SequenceState,
+    brute_reverse_posterior,
+    forward_state_distribution,
+    make_schedule,
+    posterior_from_prior,
+)
 from maskdiff.sampler import SamplerConfig
 
 from _helpers import random_rows, random_table
@@ -226,6 +236,35 @@ def test_bounds_build_each_forward_marginal_once(monkeypatch):
     calls.clear()
     assert nelbo_factorized(data, sched, denoiser) == nelbo
     assert calls == [0, 1, 2, 3, 4]
+
+
+def test_table_kernels_never_build_the_index_array(monkeypatch):
+    def refuse(alphabet):
+        raise AssertionError(f"all_states({alphabet}) built the index array")
+
+    original, patched = dist.all_states, []
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "maskdiff" and getattr(module, "all_states", None) is original:
+            monkeypatch.setattr(module, "all_states", refuse)
+            patched.append(name)
+    assert {"maskdiff.dist", "maskdiff.iproj"} <= set(patched)
+    rng = np.random.default_rng(170)
+    for n, c, chunk in ((3, 3, 1), (4, 2, 2)):
+        data = random_table(rng, n, c, floor=True)
+        target = random_rows(rng, n, c)
+        v = FactorMatrix(rng.normal(0.0, 0.5, size=(n, c)))
+        apply_factors(data, v)
+        objective(v, data, target)
+        objective_gradient(v, data, target)
+        assert iproject_exact(data, target)[1].converged
+        assert sample_states(data, 20, rng).shape == (20, n)
+        sched = make_schedule("linear", 2, chunk_size=chunk)
+        prior = forward_state_distribution(data, 0, sched)
+        posterior_from_prior(prior, SequenceState.all_masked(data.alphabet, 1), sched)
+        assert sum(w for _, w in reachable_states(data, 1, sched)) == pytest.approx(1.0)
+        bound = elbo_bound(data, sched)
+        assert nelbo_factorized(data, sched, optimal_factorized_denoiser(data, sched)) == (
+            pytest.approx(bound, abs=1e-12))
 
 
 def test_optimal_denoiser_rejects_a_time_outside_the_schedule():

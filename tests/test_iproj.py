@@ -10,6 +10,7 @@ import pytest
 from maskdiff.dist import (
     Alphabet,
     JointTable,
+    all_states,
     condition,
     product_table,
     same_copula,
@@ -112,6 +113,23 @@ def test_gradient_matches_finite_differences():
                 - objective(FactorMatrix(down), p, target)
             ) / (2 * step)
             assert grad[i, c] == pytest.approx(fd, abs=1e-6)
+    # the tensor kernels against sums walked over the explicit index array
+    for n, c in ((2, 3), (3, 3), (5, 2)):
+        p = random_table(rng, n, c, floor=True)
+        target = random_rows(rng, n, c)
+        v = FactorMatrix(rng.normal(0.0, 0.5, size=(n, c)), beta=0.7)
+        states = all_states(p.alphabet)
+        sums = v.values[np.arange(n)[None, :], states].sum(axis=1)
+        scaled = p.probs * np.exp(v.beta * sums)
+        out, z = apply_factors(p, v)
+        np.testing.assert_allclose(out.probs, scaled / scaled.sum(), rtol=0, atol=1e-12)
+        assert z == pytest.approx(scaled.sum(), rel=1e-12)
+        w = p.probs * np.exp(sums)
+        expected = float(w.sum() - np.sum(v.values * target.rows))
+        assert objective(v, p, target) == pytest.approx(expected, rel=0, abs=1e-12)
+        marg = np.stack([np.bincount(states[:, i], weights=w, minlength=c) for i in range(n)])
+        np.testing.assert_allclose(objective_gradient(v, p, target), marg - target.rows,
+                                   rtol=0, atol=1e-12)
 
 
 def test_gradient_vanishes_at_converged_projection():

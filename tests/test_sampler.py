@@ -15,7 +15,12 @@ from maskdiff.dist import (
     total_correlation,
     univariate_marginals,
 )
-from maskdiff.errors import AlphabetMismatchError, ClampError, InvalidDistributionError
+from maskdiff.errors import (
+    AlphabetMismatchError,
+    ClampError,
+    InvalidDistributionError,
+    ScheduleError,
+)
 from maskdiff.harness import SyntheticSpec, gen_data, induced_distribution, kl_to_data
 from maskdiff.models import (
     ARCopulaModel,
@@ -94,7 +99,7 @@ def test_step_time_outside_the_schedule_is_rejected(mode):
     for x_next in (SequenceState((0, 1), 0, dm.alphabet),
                    SequenceState.all_masked(dm.alphabet, 3),
                    SequenceState.all_masked(dm.alphabet, 5)):
-        with pytest.raises(InvalidDistributionError, match=r"outside \[1, 2\]"):
+        with pytest.raises(ScheduleError, match=r"outside \[1, 2\]"):
             enumerate_step_distribution(dm, cop, x_next, cfg)
 
 
@@ -103,7 +108,7 @@ def test_step_functions_check_the_step_time_themselves():
     late = SequenceState.all_masked(dm.alphabet, 5)
     for mode, step in (("dcd", dcd_step), ("diffusion_only", diffusion_only_step),
                        ("dcd_ar_unmask", dcd_ar_unmask_step), ("ar_only", _step_law)):
-        with pytest.raises(InvalidDistributionError, match=r"outside \[1, 2\]"):
+        with pytest.raises(ScheduleError, match=r"outside \[1, 2\]"):
             step(dm, cop, late, config(mode, 2))
 
 
@@ -387,6 +392,22 @@ def test_sample_draws_one_double_per_masked_position_and_chunk(chunk):
             doubles += len(masked) + len(chunks)
         twin.random(doubles)
         assert rng.random() == twin.random()
+
+
+@pytest.mark.parametrize("beta", [40.0, 1e3, 1e6])
+def test_fused_rows_stay_valid_at_large_beta(beta):
+    # beta * V leaves exp's float64 range on both tables; on the markov
+    # table seeds 3 and 4 meet such a row at beta = 1e3
+    markov = gen_data(SyntheticSpec("markov_chain", 4, 3, 0.8, 1))
+    phrases = gen_data(SyntheticSpec("correlated_phrases", 4, 3, 1.0)).floored()
+    for data in (markov, phrases):
+        dm, cop = DiffusionMarginalModel.exact(data), ARCopulaModel.exact(data)
+        cfg = config("dcd", 4, beta=beta)
+        induced = induced_distribution(dm, cop, cfg).table
+        assert float(induced.probs.sum()) == pytest.approx(1.0, abs=1e-12)
+        for seed in range(6):
+            x0, _ = sample(dm, cop, cfg, np.random.default_rng(seed))
+            assert induced.prob(x0.tokens) > 0.0
 
 
 @pytest.mark.parametrize("beta", [math.inf, -math.inf, math.nan, -1.0])
