@@ -9,6 +9,8 @@ Both come in two variants sharing one representation: "exact" wraps the true
 data table, "counts" wraps a Laplace-smoothed empirical table fitted from a
 corpus of complete sequences. All queries are exact conditioning of the
 backing table, so every answered row is a valid distribution by construction.
+Each row reads one prefix marginal M_k (the table summed over positions >= k,
+built with the model) at the unmasked tokens of its context.
 
 Corpus files hold one sequence per line as N space-separated integer tokens
 (0-based). Model files are versioned JSON: {version, kind, N, C, payload}.
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -29,9 +31,9 @@ from .dist import (
     dump_table_doc,
     parse_json_object,
     parse_table_doc,
+    position_sum,
     read_input,
     state_to_index,
-    univariate_marginals,
 )
 from .errors import (
     AlphabetMismatchError,
@@ -39,7 +41,7 @@ from .errors import (
     InvalidDistributionError,
     SupportError,
 )
-from .noising import SequenceState, aux_posterior
+from .noising import SequenceState
 
 MODEL_FORMAT_VERSION = 1
 KIND_EXACT = "exact"
@@ -109,8 +111,8 @@ _Model = TypeVar("_Model", bound="_TableModel")
 
 @dataclass(frozen=True, eq=False)
 class _TableModel:
-    """A query provider backed by one joint table, "exact" or "counts".
-    Queries are pure, so answers are memoized per context."""
+    """A query provider backed by one joint table, "exact" or "counts", and
+    its prefix marginals. Marginal rows are memoized per context."""
 
     table: JointTable
     kind: str = KIND_EXACT
@@ -118,6 +120,10 @@ class _TableModel:
     def __post_init__(self) -> None:
         if self.table.num_positions < 1:
             raise InvalidDistributionError("a model needs num_positions >= 1")
+        tensor, n = self.table.tensor(), self.table.num_positions
+        # _prefix[k] = M_k sums the table directly; chained sum(-1) calls would change AR bits.
+        prefix = [tensor.sum(axis=tuple(range(k, n))) for k in range(n)] + [tensor]
+        object.__setattr__(self, "_prefix", tuple(prefix))
         object.__setattr__(self, "_query_cache", {})
 
     @property
@@ -151,48 +157,72 @@ class DiffusionMarginalModel(_TableModel):
 
 class ARCopulaModel(_TableModel):
     """Left-to-right conditional provider p(x_i | x_<i) over data tokens,
-    memoized per prefix."""
+    read from the prefix marginal M_{i+1}."""
 
 
 # ---------------------------------------------------------------------------
 # Marginal queries
 # ---------------------------------------------------------------------------
 
-def dm_marginals_full(model: DiffusionMarginalModel, x_next: SequenceState) -> MarginalSet:
-    """Rows q(x~_t^i | x_{t+1}) for every position, mask excluded: the
-    marginals of the auxiliary posterior given the whole context. They do
-    not depend on the time x_{t+1} carries."""
-    cache: dict = model._query_cache  # type: ignore[attr-defined]
-    key = ("full", x_next.tokens)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    rows = univariate_marginals(aux_posterior(model.table, x_next))
-    if len(cache) < _QUERY_CACHE_CAP:
-        cache[key] = rows
+def _normalized(row: np.ndarray, prefix: tuple[int, ...]) -> np.ndarray:
+    mass = float(row.sum())
+    if mass <= 0.0:
+        raise SupportError(f"prefix {prefix} has zero probability")
+    return row / mass
+
+
+def _row(model: _TableModel, context: tuple[int, ...], i: int) -> np.ndarray:
+    """Row i of M_{len(context)} given the unmasked tokens of `context`; i is masked there."""
+    mask = model.alphabet.mask_index
+    idx = tuple(slice(None) if tok == mask else tok for tok in context)
+    sub = model._prefix[len(context)][idx]  # type: ignore[attr-defined]
+    return _normalized(position_sum(sub, context[:i].count(mask)), context)
+
+
+def _causal_rows(model: _TableModel, tokens: tuple[int, ...]) -> np.ndarray:
+    mask = model.alphabet.mask_index
+    return np.array([_row(model, tokens[:i] + (mask,), i) for i in range(len(tokens))])
+
+
+def _full_rows(model: _TableModel, tokens: tuple[int, ...]) -> np.ndarray:
+    mask = model.alphabet.mask_index
+    if mask not in tokens:  # no masked row checks the evidence: check it here
+        _normalized(model._prefix[-1][tokens], tokens)  # type: ignore[attr-defined]
+    u = max((i + 1 for i, tok in enumerate(tokens) if tok != mask), default=0)
+    rows = np.zeros((len(tokens), model.alphabet.num_categories), dtype=np.float64)
+    for i, tok in enumerate(tokens):
+        if tok == mask:
+            rows[i] = _row(model, tokens[: max(u, i + 1)], i)
+        else:
+            rows[i, tok] = 1.0
     return rows
 
 
-def dm_marginals_causal(model: DiffusionMarginalModel, x_next: SequenceState) -> MarginalSet:
-    """Row i conditions only on the context left of i: positions >= i are
-    replaced by MASK before querying the full-context marginal at i."""
+def _memoized(model: _TableModel, x_next: SequenceState, rows_of: Callable) -> MarginalSet:
+    if model.alphabet != x_next.alphabet:
+        raise AlphabetMismatchError("model table and state disagree on the alphabet")
     cache: dict = model._query_cache  # type: ignore[attr-defined]
-    key = ("causal", x_next.tokens)
+    key = (rows_of, x_next.tokens)
     hit = cache.get(key)
-    if hit is not None:
-        return hit
-    n = model.alphabet.num_positions
-    mask = model.alphabet.mask_index
-    rows = np.empty((n, model.alphabet.num_categories), dtype=np.float64)
-    for i in range(n):
-        ctx = SequenceState(
-            x_next.tokens[:i] + (mask,) * (n - i), x_next.time, model.alphabet
-        )
-        rows[i] = dm_marginals_full(model, ctx).rows[i]
-    out = MarginalSet(rows, includes_mask=False)
-    if len(cache) < _QUERY_CACHE_CAP:
-        cache[key] = out
-    return out
+    if hit is None:
+        hit = MarginalSet(rows_of(model, x_next.tokens), includes_mask=False)
+        if len(cache) < _QUERY_CACHE_CAP:
+            cache[key] = hit
+    return hit
+
+
+def dm_marginals_full(model: DiffusionMarginalModel, x_next: SequenceState) -> MarginalSet:
+    """Rows q(x~_t^i | x_{t+1}) for every position, mask excluded: the
+    marginals of the auxiliary posterior given the whole context. They do
+    not depend on the time x_{t+1} carries. With u one past the last unmasked
+    position, masked rows i < u read M_u; rows i >= u are the causal rows."""
+    return _memoized(model, x_next, _full_rows)
+
+
+def dm_marginals_causal(model: DiffusionMarginalModel, x_next: SequenceState) -> MarginalSet:
+    """Row i conditions only on the context left of i, as if positions >= i
+    were MASK: M_{i+1} given the unmasked tokens of x_{t+1}[:i]."""
+    return _memoized(model, x_next, _causal_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -210,22 +240,7 @@ def ar_conditional(model: ARCopulaModel, prefix: Sequence[int], i: int) -> np.nd
     for tok in key:
         if not 0 <= tok < c:
             raise InvalidDistributionError(f"prefix token {tok} out of range")
-    cache: dict = model._query_cache  # type: ignore[attr-defined]
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    tensor = model.table.tensor()
-    if i + 1 < n:
-        tensor = tensor.sum(axis=tuple(range(i + 1, n)))
-    row = np.asarray(tensor[key], dtype=np.float64)
-    mass = float(row.sum())
-    if mass <= 0.0:
-        raise SupportError(f"prefix {key} has zero probability")
-    row = row / mass
-    row.setflags(write=False)
-    if len(cache) < _QUERY_CACHE_CAP:
-        cache[key] = row
-    return row
+    return _normalized(model._prefix[i + 1][key], key)  # type: ignore[attr-defined]
 
 
 def ar_chain_table(model: ARCopulaModel) -> JointTable:

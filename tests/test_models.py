@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
 from maskdiff.dist import (
     Alphabet,
     JointTable,
+    MarginalSet,
     sample_states,
     univariate_marginals,
 )
 from maskdiff.errors import InvalidDistributionError, SupportError
+from maskdiff.iproj import dcd_factors
 from maskdiff.models import (
     ARCopulaModel,
     DiffusionMarginalModel,
@@ -46,6 +50,91 @@ def test_dm_full_matches_aux_posterior_marginals():
     rows = dm_marginals_full(model, x_next)
     oracle = univariate_marginals(aux_posterior(data, x_next))
     np.testing.assert_allclose(rows.rows, oracle.rows, atol=1e-10)
+
+
+# The query layer reads prefix marginals; conditioning the whole table
+# (`aux_posterior`, then `univariate_marginals`) is its oracle. The two sum
+# in different orders, so rows may differ by rounding, bounded as below.
+ORACLE_SHAPES = [(3, 2), (2, 3), (4, 2)]
+
+
+def oracle_tables(n: int, c: int) -> list[JointTable]:
+    """A floored random table and one with zeros (a third of its states)."""
+    rng = np.random.default_rng(100 + 10 * n + c)
+    raw = rng.gamma(1.0, size=c**n)
+    raw[rng.permutation(c**n)[: c**n // 3]] = 0.0
+    return [random_table(rng, n, c, floor=True), JointTable(Alphabet(n, c), raw / raw.sum())]
+
+
+def oracle_rows(data: JointTable, x_next: SequenceState):
+    """univariate_marginals(aux_posterior(...)) rows, or the SupportError it raises."""
+    try:
+        return univariate_marginals(aux_posterior(data, x_next)).rows
+    except SupportError as exc:
+        return exc
+
+
+def assert_rows_match(got, want) -> None:
+    if isinstance(want, SupportError):
+        assert isinstance(got, SupportError)
+        return
+    assert not isinstance(got, SupportError), got
+    assert np.all(np.abs(got - want) <= np.maximum(1e-13 * np.abs(want), 1e-15))
+
+
+def query(fn, *args):
+    try:
+        return fn(*args).rows
+    except SupportError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("n,c", ORACLE_SHAPES)
+def test_dm_rows_match_conditioning_oracle_at_every_state(n, c):
+    """Full and causal rows at every context, mask-free ones included; and
+    past the last unmasked position u, where both contexts carry the same
+    information, the rows are equal and V is exactly 0."""
+    for data in oracle_tables(n, c):
+        model = DiffusionMarginalModel.exact(data)
+        mask = data.alphabet.mask_index
+        for tokens in itertools.product(range(c + 1), repeat=n):
+            x_next = SequenceState(tokens, 1, data.alphabet)
+            full = query(dm_marginals_full, model, x_next)
+            assert_rows_match(full, oracle_rows(data, x_next))
+            per_prefix = [
+                oracle_rows(data, SequenceState(tokens[:i] + (mask,) * (n - i), 1, data.alphabet))
+                for i in range(n)
+            ]
+            errors = [row for row in per_prefix if isinstance(row, SupportError)]
+            causal_oracle = errors[0] if errors else np.stack(
+                [rows[i] for i, rows in enumerate(per_prefix)]
+            )
+            causal = query(dm_marginals_causal, model, x_next)
+            assert_rows_match(causal, causal_oracle)
+            if isinstance(full, SupportError):
+                continue
+            u = max((i + 1 for i, tok in enumerate(tokens) if tok != mask), default=0)
+            assert np.array_equal(full[u:], causal[u:])
+            v = dcd_factors(MarginalSet(full), MarginalSet(causal)).values
+            assert not v[u:].any()
+
+
+@pytest.mark.parametrize("n,c", ORACLE_SHAPES)
+def test_ar_rows_equal_the_suffix_sum_expression(n, c):
+    for data in oracle_tables(n, c):
+        model = ARCopulaModel.exact(data)
+        for i in range(n):
+            tensor = data.tensor()
+            if i + 1 < n:
+                tensor = tensor.sum(axis=tuple(range(i + 1, n)))
+            for prefix in itertools.product(range(c), repeat=i):
+                row = np.asarray(tensor[prefix], dtype=np.float64)
+                mass = float(row.sum())
+                if mass <= 0.0:
+                    with pytest.raises(SupportError):
+                        ar_conditional(model, prefix, i)
+                else:
+                    assert np.array_equal(ar_conditional(model, prefix, i), row / mass)
 
 
 def test_dm_full_matches_renormalized_brute_marginals():
