@@ -199,7 +199,7 @@ def cmd_fit(args: argparse.Namespace, cfg: dict) -> int:
     smoothing = _get(args, cfg, "fit", "smoothing")
     if args.sample_from:
         table = load_table(args.sample_from)
-        rng = np.random.default_rng(args.seed if args.seed is not None else 0)
+        rng = np.random.default_rng(_get(args, cfg, "data", "seed"))
         seqs = sample_states(table, args.corpus_size, rng)
         corpus_path = Path(args.out_dir) / "corpus.txt"
         save_corpus(seqs, corpus_path)

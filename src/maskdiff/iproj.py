@@ -13,9 +13,10 @@ whose partial derivative in V[i,c] is (unnormalized marginal of phat at
 (i,c)) minus tar_i(c). This is a generalized matrix-scaling problem, so the
 production solver is cyclic iterative proportional fitting: each row update
 V[i,:] += log(tar_i / current marginal_i) is the exact coordinate-block
-minimizer, hence the objective never increases across sweeps. A plain
-gradient-descent solver of the same objective is provided as an independent
-cross-check.
+minimizer, hence the objective never increases across sweeps. The IPF
+report holds the sweep count and the final marginal gap; the objective is
+evaluated only for an `on_sweep` observer. A plain gradient-descent solver
+of the same objective is provided as an independent cross-check.
 
 The production kernels keep the weights as the table's (C,)*N tensor: row
 V[i,:] is broadcast along axis i and a marginal is an axis sum. The descent
@@ -34,9 +35,10 @@ serves several beta values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .dist import (
     JointTable,
@@ -91,7 +93,6 @@ class FactorMatrix:
 class IprojReport:
     iterations: int
     max_marginal_gap: float
-    objective: float
     converged: bool
 
 
@@ -187,9 +188,9 @@ def iproject_exact(
     normalized marginals match the (floored) target within IPF_TOL,
     or max_iter sweeps elapse. Non-convergence is reported, never silent.
 
-    The returned V has zero-mean rows; the report's objective is evaluated
-    at the internal mass-one minimizer before canonicalization. on_sweep,
-    when given, observes (sweep_index, gap, objective) after every sweep.
+    The returned V has zero-mean rows. on_sweep, when given, observes
+    (sweep_index, gap, objective) after every sweep, the objective taken at
+    the uncanonicalized V.
     """
     _check_target(p_est, target)
     if p_est.probs.min() <= 0.0:
@@ -212,10 +213,7 @@ def iproject_exact(
         gap = _marginal_gap(w, rows)
         if on_sweep is not None:
             on_sweep(iterations, gap, objective(FactorMatrix(values), p_est, target_set))
-    converged = gap <= IPF_TOL
-    obj = objective(FactorMatrix(values), p_est, target_set)
-    report = IprojReport(iterations, gap, obj, converged)
-    return FactorMatrix(values).canonical(), report
+    return FactorMatrix(values).canonical(), IprojReport(iterations, gap, gap <= IPF_TOL)
 
 
 def iproject_descent(
@@ -279,22 +277,22 @@ def iproject_descent(
             recent.pop(0)
         iterations += 1
     gap = _marginal_gap(w.reshape(p_est.tensor().shape), rows)
-    report = IprojReport(iterations, gap, obj, converged)
-    return FactorMatrix(values).canonical(), report
+    return FactorMatrix(values).canonical(), IprojReport(iterations, gap, converged)
 
 
 # ---------------------------------------------------------------------------
 # Sampler-facing factor rules
 # ---------------------------------------------------------------------------
 
-def rankwise_update(p_dm_row: Sequence[float], p_copula_row: Sequence[float]) -> np.ndarray:
-    """Single-row closed form: log(target row) - log(current row), with both
-    rows floored before the logs. With every other row zero, applying this
-    row moves position i's marginal exactly onto the target row."""
-    dm = np.maximum(np.asarray(p_dm_row, dtype=np.float64), POSITIVITY_FLOOR)
-    cop = np.maximum(np.asarray(p_copula_row, dtype=np.float64), POSITIVITY_FLOOR)
-    if dm.shape != cop.shape or dm.ndim != 1:
-        raise AlphabetMismatchError("rows must be 1-D and of equal length")
+def rankwise_update(p_dm_rows: ArrayLike, p_copula_rows: ArrayLike) -> np.ndarray:
+    """Closed form log(target row) - log(current row), with both floored
+    before the logs, on one row or elementwise on two (N, C) row matrices.
+    With every other row zero, applying a row moves position i's marginal
+    exactly onto the target row."""
+    dm = np.maximum(np.asarray(p_dm_rows, dtype=np.float64), POSITIVITY_FLOOR)
+    cop = np.maximum(np.asarray(p_copula_rows, dtype=np.float64), POSITIVITY_FLOOR)
+    if dm.shape != cop.shape or dm.ndim not in (1, 2):
+        raise AlphabetMismatchError("rows must be 1-D or 2-D and of equal shape")
     return np.log(dm) - np.log(cop)
 
 
@@ -306,7 +304,4 @@ def dcd_factors(full: MarginalSet, causal: MarginalSet, beta: float = 1.0) -> Fa
         raise InvalidDistributionError("factor rows are over data categories only")
     if full.rows.shape != causal.rows.shape:
         raise AlphabetMismatchError("full/causal marginal shapes differ")
-    values = np.stack(
-        [rankwise_update(full.rows[i], causal.rows[i]) for i in range(full.num_positions)]
-    )
-    return FactorMatrix(values, beta)
+    return FactorMatrix(rankwise_update(full.rows, causal.rows), beta)

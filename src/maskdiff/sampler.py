@@ -212,10 +212,14 @@ class StepLaw:
         row = ar_conditional(self.copula, prefix, i)
         if self.factors is None:
             return row
-        expo = self.factors.beta * self.factors.values[i]
-        if np.abs(expo).max() > 700.0:  # exp overflows past 709
-            on_support = np.where(row > 0.0, expo, -np.inf)
-            expo = on_support - on_support.max()  # off-support entries weigh 0
+        beta, v = self.factors.beta, self.factors.values[i]
+        if float(beta) * float(np.abs(v).max()) > 700.0:  # exp overflows past 709
+            # shift by the top V on the support (off it, row is 0); clipping
+            # keeps beta * shift in [-750, 0], and exp(-750) is 0
+            shift = v - v[row > 0.0].max()
+            expo = beta * np.clip(shift, -750.0 / beta, 0.0)
+        else:
+            expo = beta * v
         weights = row * np.exp(expo)
         total = float(weights.sum())
         if total <= 0.0:
@@ -370,7 +374,7 @@ def sample(
         rng = np.random.default_rng(cfg.seed)
 
     def draw(row: np.ndarray) -> tuple[int]:
-        return (int(rng.choice(len(row), p=row / row.sum())),)
+        return (int(rng.choice(len(row), p=row)),)
 
     def remask_or_keep(row: tuple[float, float]) -> tuple[int]:
         return (0 if rng.random() < row[0] else 1,)

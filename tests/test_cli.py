@@ -7,6 +7,7 @@ import re
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from maskdiff import cli
@@ -121,6 +122,17 @@ def test_sample_at_large_beta_writes_sequences(tmp_path):
     assert len(out.read_text().splitlines()) == 4
 
 
+def test_eval_and_sample_at_huge_finite_beta_are_quiet(tmp_path, capsys):
+    data = tmp_path / "d3.json"
+    assert run(["gen-data", "--kind", "markov_chain", "--num-positions", "3",
+                "--num-categories", "3", "--out", str(data)]) == 0
+    capsys.readouterr()
+    common = ["--data", str(data), "--beta", "1e308", "--steps", "3"]
+    assert run(["eval"] + common) == 0
+    assert run(["sample"] + common + ["--out", str(tmp_path / "s.txt")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_sample_non_finite_beta_is_exit_2(tmp_path, data_file, capsys):
     assert run(["sample", "--data", str(data_file), "--beta", "inf",
                 "--out", str(tmp_path / "s.txt")]) == 2
@@ -209,6 +221,7 @@ SETTING_CASES = [
      "0.25", 0.25, 0.9),
     ("gen-data", "data", "seed", ["--seed", "5"], 5, "6", 6, 0),
     ("fit", "fit", "smoothing", ["--smoothing", "0.5"], 0.5, "0.25", 0.25, 1.0),
+    ("fit", "data", "seed", ["--seed", "5"], 5, "6", 6, 0),
     *[("sample",) + row for row in _SAMPLER_ROWS],
     ("sample", "sampler", "num_samples", ["--num-samples", "3"], 3, "4", 4, 1),
     *[("eval",) + row for row in _SAMPLER_ROWS],
@@ -237,6 +250,10 @@ def _capture_settings(monkeypatch, seen: dict) -> None:
         seen.update(dataclasses.asdict(spec))
         raise _Stop
 
+    def fake_sample_states(table, n, rng):
+        seen["seed"] = rng.bit_generator.seed_seq.entropy
+        return np.zeros((n, table.num_positions), dtype=np.int64)
+
     def fake_fit(seqs, alphabet, smoothing):
         seen["smoothing"] = smoothing
         raise _Stop
@@ -256,6 +273,7 @@ def _capture_settings(monkeypatch, seen: dict) -> None:
         raise _Stop
 
     monkeypatch.setattr(cli, "gen_data", fake_gen_data)
+    monkeypatch.setattr(cli, "sample_states", fake_sample_states)
     monkeypatch.setattr(cli, "fit_counts_table", fake_fit)
     monkeypatch.setattr(cli, "sample", fake_sample)
     monkeypatch.setattr(cli, "induced_distribution", fake_induced)
@@ -269,11 +287,10 @@ def _capture_settings(monkeypatch, seen: dict) -> None:
 )
 def test_setting_precedence(tmp_path, data_file, monkeypatch, command, section, key,
                             flag_argv, flag_value, file_text, file_value, default):
-    corpus = tmp_path / "c.txt"
-    corpus.write_text("0 1\n1 0\n")
     base = {
         "gen-data": ["--out", str(tmp_path / "t.json")],
-        "fit": ["--corpus", str(corpus), "--num-categories", "2", "--out", str(tmp_path / "m.json")],
+        "fit": ["--sample-from", str(data_file), "--corpus-size", "2",
+                "--out", str(tmp_path / "m.json")],
     }.get(command, ["--data", str(data_file)])
     # a store_true flag can only say true, so it must beat a false in the file
     under_flag = "false" if flag_value is True else file_text

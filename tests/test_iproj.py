@@ -10,6 +10,7 @@ import pytest
 from maskdiff.dist import (
     Alphabet,
     JointTable,
+    MarginalSet,
     all_states,
     condition,
     product_table,
@@ -17,7 +18,8 @@ from maskdiff.dist import (
     total_variation,
     univariate_marginals,
 )
-from maskdiff.errors import InvalidDistributionError, PositivityError
+from maskdiff.errors import AlphabetMismatchError, InvalidDistributionError, PositivityError
+from maskdiff import iproj
 from maskdiff.iproj import (
     FactorMatrix,
     apply_factors,
@@ -200,6 +202,23 @@ def test_ipf_objective_monotone_across_sweeps():
         assert all(b <= a + 1e-12 for a, b in zip(seen, seen[1:]))
 
 
+def test_ipf_without_observer_never_evaluates_the_objective(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return objective(*args)
+
+    monkeypatch.setattr(iproj, "objective", counted)
+    rng = np.random.default_rng(99)
+    p = random_table(rng, 3, 3, floor=True)
+    target = random_rows(rng, 3, 3)
+    _, report = iproject_exact(p, target)
+    assert report.converged and calls == []
+    iproject_exact(p, target, on_sweep=lambda k, gap, obj: None)
+    assert len(calls) == report.iterations + 1
+
+
 def test_pythagorean_and_strict_improvement():
     rng = np.random.default_rng(93)
     for _ in range(10):
@@ -273,6 +292,31 @@ def test_rankwise_single_row_hits_target_marginal_exactly():
         np.testing.assert_allclose(
             univariate_marginals(out).rows[i], target_row, atol=1e-12
         )
+
+
+def test_rankwise_rejects_mismatched_shapes():
+    for dm, cop in (
+        (np.full(3, 1 / 3), np.full(2, 0.5)),
+        (np.full((2, 3), 1 / 3), np.full((3, 3), 1 / 3)),
+        (np.full((2, 2), 0.5), np.full(4, 0.25)),
+    ):
+        with pytest.raises(AlphabetMismatchError):
+            rankwise_update(dm, cop)
+
+
+@pytest.mark.parametrize("n,c", [(2, 2), (4, 3), (8, 4), (23, 2)])
+def test_dcd_factors_equal_per_row_rankwise_updates(n, c):
+    rng = np.random.default_rng(100 + n * c)
+    for _ in range(20):
+        full, causal = (rng.gamma(1.0, size=(n, c)) for _ in range(2))
+        full[rng.random((n, c)) < 0.3] = 0.0  # zero entries meet the floor
+        causal[rng.random((n, c)) < 0.3] = 0.0
+        full[:, 0] += 0.1
+        causal[:, 0] += 0.1
+        full = MarginalSet(full / full.sum(axis=1, keepdims=True))
+        causal = MarginalSet(causal / causal.sum(axis=1, keepdims=True))
+        rows = [rankwise_update(full.rows[i], causal.rows[i]) for i in range(n)]
+        assert np.array_equal(dcd_factors(full, causal).values, np.stack(rows))
 
 
 def test_dcd_factors_vanish_when_contexts_coincide():

@@ -7,21 +7,36 @@ RuntimeWarning (overflow, NaN) is a failure.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from collections import Counter
 
 import numpy as np
+import pytest
 
 from maskdiff.dist import ENUMERATION_CAP, Alphabet, JointTable, univariate_marginals
 from maskdiff.errors import MaskDiffError
-from maskdiff.harness import EXACT_INDUCED_CAP, induced_distribution
+from maskdiff.harness import (
+    EXACT_INDUCED_CAP,
+    SyntheticSpec,
+    gen_data,
+    induced_distribution,
+)
 from maskdiff.models import ARCopulaModel, DiffusionMarginalModel
 from maskdiff.noising import make_schedule
-from maskdiff.sampler import MODES, SamplerConfig, sample
+from maskdiff.sampler import (
+    MODE_AR_ONLY,
+    MODES,
+    SamplerConfig,
+    enumerate_step_distribution,
+    sample,
+)
 
 from _helpers import random_table
 
 BATTERY_BETAS = (0.0, 1.0, 1e3, 1e6)
+# finite betas where beta * V itself overflows a float
+HUGE_BETAS = (1e307, 1e308, sys.float_info.max)
 
 
 def battery_table(rng: np.random.Generator, n: int, c: int) -> JointTable:
@@ -76,8 +91,28 @@ def test_limits_battery_returns_valid_results_or_mask_diff_errors():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         outcomes = run_battery(150, seed=808)
-    assert outcomes["ok"] > 0
-    assert outcomes["SupportError"] > 0  # tables with zeros reach zero-probability contexts
+    # tables with zeros reach zero-probability contexts
+    assert outcomes == Counter(ok=1089, SupportError=87)
+
+
+@pytest.mark.parametrize("beta", HUGE_BETAS)
+@pytest.mark.parametrize("mode", MODES)
+def test_huge_finite_beta_gives_valid_laws(mode, beta):
+    data = gen_data(SyntheticSpec("markov_chain", 4, 3, 0.8, seed=1)).floored()
+    dm, cop = DiffusionMarginalModel.exact(data), ARCopulaModel.exact(data)
+    cfg = SamplerConfig(4, make_schedule("linear", 4), mode, beta, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        x0, trace = sample(dm, cop, cfg)
+        steps = [] if mode == MODE_AR_ONLY else [
+            enumerate_step_distribution(dm, cop, x_next, cfg) for x_next in trace.states[:-1]
+        ]
+        table = induced_distribution(dm, cop, cfg).table
+    assert x0.time == 0 and data.alphabet.mask_index not in x0.tokens
+    for law in steps:
+        weights = np.array(list(law.values()))
+        assert np.all(weights >= 0.0) and abs(float(weights.sum()) - 1.0) <= 1e-12
+    assert np.all(np.isfinite(table.probs)) and abs(float(table.probs.sum()) - 1.0) <= 1e-12
 
 
 def test_dcd_samples_at_the_enumeration_cap():
