@@ -148,18 +148,20 @@ def _resolve_models(
     data = load_table(args.data) if args.data else None
     dm = None
     copula = None
+    floored = None  # both exact models wrap this one table
     if args.dm_model:
         dm = DiffusionMarginalModel.load(args.dm_model)
     elif any(need_dm for need_dm, _ in needs):
         if data is None:
             raise ConfigError("need --dm-model or --data for this mode")
-        dm = DiffusionMarginalModel.exact(data.floored())
+        floored = data.floored()
+        dm = DiffusionMarginalModel.exact(floored)
     if args.copula_model:
         copula = ARCopulaModel.load(args.copula_model)
     elif any(need_copula for _, need_copula in needs):
         if data is None:
             raise ConfigError("need --copula-model or --data for this mode")
-        copula = ARCopulaModel.exact(data.floored())
+        copula = ARCopulaModel.exact(floored if floored is not None else data.floored())
     return dm, copula, data
 
 

@@ -29,6 +29,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -157,6 +158,16 @@ class JointTable:
     def tensor(self) -> np.ndarray:
         """View shaped (K,)*N; axis i is position i."""
         return self.probs.reshape((self.alphabet.num_categories,) * self.alphabet.num_positions)
+
+    @cached_property
+    def prefix_marginals(self) -> tuple[np.ndarray, ...]:
+        """M_0..M_N, read-only and built once on first use: M_k sums the table
+        over positions >= k directly (chained sums would change AR bits)."""
+        tensor, n = self.tensor(), self.num_positions
+        sums = [np.asarray(tensor.sum(axis=tuple(range(k, n)))) for k in range(n)]
+        for m in sums:
+            m.setflags(write=False)
+        return (*sums, tensor)
 
     def floored(self) -> "JointTable":
         """Strictly positive variant: clamp entries below POSITIVITY_FLOOR up

@@ -28,8 +28,7 @@ V preserves the copula of p_est while moving its marginals.
 
 The rank-wise update log(target row) - log(current row) and the two-context
 variant log(full-context row) - log(causal-context row) produce the V used
-by the sampler; `beta` scales V at application time only, so one matrix
-serves several beta values.
+by the sampler, which scales it by its config's beta when it draws.
 """
 
 from __future__ import annotations
@@ -57,10 +56,9 @@ DEFAULT_IPF_MAX_SWEEPS = 10_000
 @dataclass(frozen=True, eq=False)
 class FactorMatrix:
     """Per-position, per-category log scaling factors; row i, column c holds
-    log sigma_i(c). `beta` multiplies the values when applied."""
+    log sigma_i(c)."""
 
     values: np.ndarray
-    beta: float = 1.0
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.values, dtype=np.float64)
@@ -68,10 +66,6 @@ class FactorMatrix:
             raise InvalidDistributionError("factor matrix must be 2-D")
         if not np.all(np.isfinite(arr)):
             raise InvalidDistributionError("factor matrix entries must be finite")
-        if not (self.beta >= 0.0 and np.isfinite(self.beta)):
-            raise InvalidDistributionError(
-                f"beta must be finite and >= 0 (0 disables the correction), got {self.beta!r}"
-            )
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
@@ -80,13 +74,9 @@ class FactorMatrix:
     def num_positions(self) -> int:
         return int(self.values.shape[0])
 
-    @property
-    def num_categories(self) -> int:
-        return int(self.values.shape[1])
-
     def canonical(self) -> "FactorMatrix":
         """Equivalent representation with zero-mean rows (same projection)."""
-        return FactorMatrix(self.values - self.values.mean(axis=1, keepdims=True), self.beta)
+        return FactorMatrix(self.values - self.values.mean(axis=1, keepdims=True))
 
 
 @dataclass(frozen=True)
@@ -122,15 +112,16 @@ def _factor_sums(values: np.ndarray) -> np.ndarray:
 
 
 def apply_factors(p_est: JointTable, v: FactorMatrix) -> tuple[JointTable, float]:
-    """Rescale p_est by exp(beta * V[i, x_i]) per position, renormalize, and
-    report the pre-normalization total mass. Computed in log-domain."""
+    """Rescale p_est by exp(V[i, x_i]) per position, renormalize, and report
+    log Z, the log of the pre-normalization total mass. Computed in
+    log-domain, so log Z stays finite where Z overflows."""
     _check_shapes(p_est, v)
     if p_est.probs.min() <= 0.0:
         raise PositivityError("apply_factors requires a strictly positive table")
-    log_w = np.log(p_est.tensor()) + v.beta * _factor_sums(v.values)
+    log_w = np.log(p_est.tensor()) + _factor_sums(v.values)
     log_z = _logsumexp(log_w)
     probs = np.exp(log_w - log_z)
-    return JointTable(p_est.alphabet, probs), float(np.exp(log_z))
+    return JointTable(p_est.alphabet, probs), log_z
 
 
 def _check_target(p_est: JointTable, target: MarginalSet) -> None:
@@ -141,8 +132,7 @@ def _check_target(p_est: JointTable, target: MarginalSet) -> None:
 
 
 def objective(v: FactorMatrix, p_est: JointTable, target: MarginalSet) -> float:
-    """The convex objective at the raw coefficients (beta is a sampling-time
-    knob and deliberately does not enter here)."""
+    """The convex objective at V."""
     _check_shapes(p_est, v)
     _check_target(p_est, target)
     log_w = np.log(np.maximum(p_est.tensor(), POSITIVITY_FLOOR)) + _factor_sums(v.values)
@@ -296,7 +286,7 @@ def rankwise_update(p_dm_rows: ArrayLike, p_copula_rows: ArrayLike) -> np.ndarra
     return np.log(dm) - np.log(cop)
 
 
-def dcd_factors(full: MarginalSet, causal: MarginalSet, beta: float = 1.0) -> FactorMatrix:
+def dcd_factors(full: MarginalSet, causal: MarginalSet) -> FactorMatrix:
     """V[i,c] = log(full-context row i) - log(causal-context row i), the
     correction the sampler multiplies into the copula conditionals. Rows
     vanish wherever the two contexts carry the same information."""
@@ -304,4 +294,4 @@ def dcd_factors(full: MarginalSet, causal: MarginalSet, beta: float = 1.0) -> Fa
         raise InvalidDistributionError("factor rows are over data categories only")
     if full.rows.shape != causal.rows.shape:
         raise AlphabetMismatchError("full/causal marginal shapes differ")
-    return FactorMatrix(rankwise_update(full.rows, causal.rows), beta)
+    return FactorMatrix(rankwise_update(full.rows, causal.rows))

@@ -9,8 +9,8 @@ Both come in two variants sharing one representation: "exact" wraps the true
 data table, "counts" wraps a Laplace-smoothed empirical table fitted from a
 corpus of complete sequences. All queries are exact conditioning of the
 backing table, so every answered row is a valid distribution by construction.
-Each row reads one prefix marginal M_k (the table summed over positions >= k,
-built with the model) at the unmasked tokens of its context.
+Each row reads the table's prefix marginal M_k (the table summed over
+positions >= k, shared by all its models) at the unmasked tokens of its context.
 
 Corpus files hold one sequence per line as N space-separated integer tokens
 (0-based). Model files are versioned JSON: {version, kind, N, C, payload}.
@@ -18,7 +18,7 @@ Corpus files hold one sequence per line as N space-separated integer tokens
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence, TypeVar
 
@@ -53,16 +53,14 @@ def fit_counts_table(
 ) -> JointTable:
     """Additively smoothed empirical joint table from an (M, N) corpus."""
     seqs = np.asarray(sequences, dtype=np.int64)
-    if seqs.ndim != 2 or seqs.shape[1] != alphabet.num_positions:
-        raise AlphabetMismatchError("corpus shape does not match the alphabet")
-    if seqs.size and (seqs.min() < 0 or seqs.max() >= alphabet.num_categories):
+    n, c = alphabet.num_positions, alphabet.num_categories
+    if n < 1 or seqs.ndim != 2 or seqs.shape[1] != n:
+        raise AlphabetMismatchError("a corpus must be (M, num_positions) with num_positions >= 1")
+    if seqs.size and (seqs.min() < 0 or seqs.max() >= c):
         raise InvalidDistributionError("corpus tokens out of range")
     if smoothing < 0.0:
         raise InvalidDistributionError("smoothing must be >= 0")
-    weights = alphabet.num_categories ** np.arange(
-        alphabet.num_positions - 1, -1, -1, dtype=np.int64
-    )
-    idx = seqs @ weights if seqs.size else np.zeros(0, dtype=np.int64)
+    idx = np.ravel_multi_index(seqs.T, (c,) * n)
     counts = np.bincount(idx, minlength=alphabet.num_states).astype(np.float64)
     total = counts.sum() + smoothing * alphabet.num_states
     if total <= 0.0:
@@ -111,20 +109,16 @@ _Model = TypeVar("_Model", bound="_TableModel")
 
 @dataclass(frozen=True, eq=False)
 class _TableModel:
-    """A query provider backed by one joint table, "exact" or "counts", and
-    its prefix marginals. Marginal rows are memoized per context."""
+    """A query provider backed by one joint table, "exact" or "counts";
+    marginal rows are memoized per context."""
 
     table: JointTable
     kind: str = KIND_EXACT
+    _query_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.table.num_positions < 1:
             raise InvalidDistributionError("a model needs num_positions >= 1")
-        tensor, n = self.table.tensor(), self.table.num_positions
-        # _prefix[k] = M_k sums the table directly; chained sum(-1) calls would change AR bits.
-        prefix = [tensor.sum(axis=tuple(range(k, n))) for k in range(n)] + [tensor]
-        object.__setattr__(self, "_prefix", tuple(prefix))
-        object.__setattr__(self, "_query_cache", {})
 
     @property
     def alphabet(self) -> Alphabet:
@@ -175,7 +169,7 @@ def _row(model: _TableModel, context: tuple[int, ...], i: int) -> np.ndarray:
     """Row i of M_{len(context)} given the unmasked tokens of `context`; i is masked there."""
     mask = model.alphabet.mask_index
     idx = tuple(slice(None) if tok == mask else tok for tok in context)
-    sub = model._prefix[len(context)][idx]  # type: ignore[attr-defined]
+    sub = model.table.prefix_marginals[len(context)][idx]
     return _normalized(position_sum(sub, context[:i].count(mask)), context)
 
 
@@ -187,7 +181,7 @@ def _causal_rows(model: _TableModel, tokens: tuple[int, ...]) -> np.ndarray:
 def _full_rows(model: _TableModel, tokens: tuple[int, ...]) -> np.ndarray:
     mask = model.alphabet.mask_index
     if mask not in tokens:  # no masked row checks the evidence: check it here
-        _normalized(model._prefix[-1][tokens], tokens)  # type: ignore[attr-defined]
+        _normalized(model.table.prefix_marginals[-1][tokens], tokens)
     u = max((i + 1 for i, tok in enumerate(tokens) if tok != mask), default=0)
     rows = np.zeros((len(tokens), model.alphabet.num_categories), dtype=np.float64)
     for i, tok in enumerate(tokens):
@@ -201,7 +195,7 @@ def _full_rows(model: _TableModel, tokens: tuple[int, ...]) -> np.ndarray:
 def _memoized(model: _TableModel, x_next: SequenceState, rows_of: Callable) -> MarginalSet:
     if model.alphabet != x_next.alphabet:
         raise AlphabetMismatchError("model table and state disagree on the alphabet")
-    cache: dict = model._query_cache  # type: ignore[attr-defined]
+    cache = model._query_cache
     key = (rows_of, x_next.tokens)
     hit = cache.get(key)
     if hit is None:
@@ -240,7 +234,7 @@ def ar_conditional(model: ARCopulaModel, prefix: Sequence[int], i: int) -> np.nd
     for tok in key:
         if not 0 <= tok < c:
             raise InvalidDistributionError(f"prefix token {tok} out of range")
-    return _normalized(model._prefix[i + 1][key], key)  # type: ignore[attr-defined]
+    return _normalized(model.table.prefix_marginals[i + 1][key], key)
 
 
 def ar_chain_table(model: ARCopulaModel) -> JointTable:

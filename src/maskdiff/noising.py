@@ -54,10 +54,9 @@ DEFAULT_EPSILON = 1e-3
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Monotone mask probabilities alpha_1..alpha_T with alpha_T = 1."""
+    """Monotone mask probabilities alpha_1..alpha_T, alpha_T = 1; T = len(alphas)."""
 
     family: str
-    steps: int
     epsilon: float
     alphas: tuple[float, ...]
     chunk_size: int = 1
@@ -65,8 +64,8 @@ class NoiseSchedule:
     def __post_init__(self) -> None:
         if self.family not in SCHEDULE_FAMILIES:
             raise ScheduleError(f"unknown schedule family {self.family!r}")
-        if self.steps < 1 or len(self.alphas) != self.steps:
-            raise ScheduleError("steps must be >= 1 and match len(alphas)")
+        if len(self.alphas) < 1:
+            raise ScheduleError("a schedule needs at least one alpha")
         if self.chunk_size < 1:
             raise ScheduleError("chunk_size must be >= 1")
         prev = 0.0
@@ -76,6 +75,10 @@ class NoiseSchedule:
             prev = a
         if self.alphas[-1] != 1.0:
             raise ScheduleError("final alpha must equal 1")
+
+    @property
+    def steps(self) -> int:
+        return len(self.alphas)
 
     def alpha(self, t: int) -> float:
         """Mask probability at time t, with alpha(0) = 0."""
@@ -123,7 +126,7 @@ def make_schedule(
         alphas.append(1.0)
     else:
         raise ScheduleError(f"unknown schedule family {family!r}")
-    return NoiseSchedule(family, steps, epsilon, tuple(alphas), chunk_size)
+    return NoiseSchedule(family, epsilon, tuple(alphas), chunk_size)
 
 
 def chunk_groups(num_positions: int, chunk_size: int) -> tuple[tuple[int, ...], ...]:

@@ -203,6 +203,7 @@ class StepLaw:
     remask: RemaskDistribution | None
     copula: ARCopulaModel | None = None  # rows are copula conditionals ...
     factors: FactorMatrix | None = None  # ... reweighted by exp(beta * V)
+    beta: float = 1.0
     full: MarginalSet | None = None  # rows when there is no copula
     causal: MarginalSet | None = None
 
@@ -212,7 +213,7 @@ class StepLaw:
         row = ar_conditional(self.copula, prefix, i)
         if self.factors is None:
             return row
-        beta, v = self.factors.beta, self.factors.values[i]
+        beta, v = self.beta, self.factors.values[i]
         if float(beta) * float(np.abs(v).max()) > 700.0:  # exp overflows past 709
             # shift by the top V on the support (off it, row is 0); clipping
             # keeps beta * shift in [-750, 0], and exp(-750) is 0
@@ -249,9 +250,9 @@ def _fused_law(
 ) -> StepLaw:
     full = dm_marginals_full(dm, x_next)
     causal = dm_marginals_causal(dm, x_next)
-    factors = dcd_factors(full, causal, cfg.beta)
+    factors = dcd_factors(full, causal)
     kernel = remask_kernel(x_next, cfg.schedule) if remask else None
-    return StepLaw(x_next, x_next.time - 1, fill, kernel, copula, factors, full, causal)
+    return StepLaw(x_next, x_next.time - 1, fill, kernel, copula, factors, cfg.beta, full, causal)
 
 
 def dcd_step(

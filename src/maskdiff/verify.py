@@ -191,8 +191,7 @@ def suite_prop3() -> list[CheckResult]:
                 s1[i] = c1
                 s2 = ctx.copy()
                 s2[i] = c2
-                idx1 = int(np.dot(s1, [9, 3, 1]))
-                idx2 = int(np.dot(s2, [9, 3, 1]))
+                idx1, idx2 = (state_to_index(p_est.alphabet, s) for s in (s1, s2))
                 diff = log_ratio[idx1] - log_ratio[idx2]
                 if ref is None:
                     ref = diff
@@ -303,8 +302,8 @@ def suite_thm1() -> list[CheckResult]:
         p_est = _random_positive_table(rng, 3, 3)
         target = _random_rows(rng, 3, 3)
         v, report = iproject_exact(p_est, target)
-        _, z = apply_factors(p_est, v)
-        minimizer = FactorMatrix(v.values - np.log(z) / v.num_positions)
+        _, log_z = apply_factors(p_est, v)
+        minimizer = FactorMatrix(v.values - log_z / v.num_positions)
         grad = objective_gradient(minimizer, p_est, target)
         if float(np.max(np.abs(grad))) < 1e-8:
             kkt_ok += 1

@@ -37,6 +37,12 @@ def test_gen_data_writes_table(tmp_path, data_file):
     assert table.num_positions == 2
 
 
+def test_exact_models_from_data_share_one_table(data_file):
+    args = build_parser().parse_args(["eval", "--data", str(data_file)])
+    dm, copula, _ = cli._resolve_models(args, ["dcd"])
+    assert dm.table is copula.table
+
+
 def test_gen_data_deterministic(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -18,7 +18,7 @@ from maskdiff.dist import (
     total_variation,
     univariate_marginals,
 )
-from maskdiff.errors import AlphabetMismatchError, InvalidDistributionError, PositivityError
+from maskdiff.errors import AlphabetMismatchError, PositivityError
 from maskdiff import iproj
 from maskdiff.iproj import (
     FactorMatrix,
@@ -43,9 +43,9 @@ from _helpers import random_rows, random_table
 def test_apply_zero_factors_is_identity():
     rng = np.random.default_rng(80)
     p = random_table(rng, 2, 3, floor=True)
-    out, z = apply_factors(p, FactorMatrix(np.zeros((2, 3))))
+    out, log_z = apply_factors(p, FactorMatrix(np.zeros((2, 3))))
     np.testing.assert_allclose(out.probs, p.probs, atol=1e-15)
-    assert z == pytest.approx(1.0, abs=1e-12)
+    assert log_z == pytest.approx(0.0, abs=1e-12)
 
 
 def test_apply_single_variable_hits_target_exactly():
@@ -71,19 +71,17 @@ def test_apply_requires_positive_table():
         apply_factors(JointTable(Alphabet(2, 2), probs), FactorMatrix(np.zeros((2, 2))))
 
 
-def test_beta_scales_at_application_time():
+def test_apply_reports_finite_log_z_where_z_overflows():
+    # factors of size 1e3 put the total mass Z far past float64's range
     rng = np.random.default_rng(83)
-    p = random_table(rng, 2, 2, floor=True)
-    values = rng.normal(0.0, 1.0, size=(2, 2))
-    half, _ = apply_factors(p, FactorMatrix(values, beta=0.5))
-    scaled, _ = apply_factors(p, FactorMatrix(0.5 * values, beta=1.0))
-    np.testing.assert_allclose(half.probs, scaled.probs, atol=1e-14)
-
-
-@pytest.mark.parametrize("beta", [math.inf, -math.inf, math.nan, -1.0])
-def test_beta_must_be_finite_and_non_negative(beta):
-    with pytest.raises(InvalidDistributionError, match="beta must be finite"):
-        FactorMatrix(np.zeros((2, 2)), beta=beta)
+    p = random_table(rng, 4, 3, floor=True)
+    v = FactorMatrix(1e3 * rng.normal(0.0, 1.0, size=(4, 3)))
+    out, log_z = apply_factors(p, v)
+    sums = v.values[np.arange(4)[None, :], all_states(p.alphabet)].sum(axis=1)
+    log_w = np.log(p.probs) + sums
+    assert log_z > 710.0
+    assert log_z == pytest.approx(float(np.logaddexp.reduce(log_w)), rel=1e-12)
+    np.testing.assert_allclose(out.probs, np.exp(log_w - log_z), rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -119,14 +117,13 @@ def test_gradient_matches_finite_differences():
     for n, c in ((2, 3), (3, 3), (5, 2)):
         p = random_table(rng, n, c, floor=True)
         target = random_rows(rng, n, c)
-        v = FactorMatrix(rng.normal(0.0, 0.5, size=(n, c)), beta=0.7)
+        v = FactorMatrix(rng.normal(0.0, 0.5, size=(n, c)))
         states = all_states(p.alphabet)
         sums = v.values[np.arange(n)[None, :], states].sum(axis=1)
-        scaled = p.probs * np.exp(v.beta * sums)
-        out, z = apply_factors(p, v)
-        np.testing.assert_allclose(out.probs, scaled / scaled.sum(), rtol=0, atol=1e-12)
-        assert z == pytest.approx(scaled.sum(), rel=1e-12)
         w = p.probs * np.exp(sums)
+        out, log_z = apply_factors(p, v)
+        np.testing.assert_allclose(out.probs, w / w.sum(), rtol=0, atol=1e-12)
+        assert log_z == pytest.approx(math.log(w.sum()), rel=0, abs=1e-12)
         expected = float(w.sum() - np.sum(v.values * target.rows))
         assert objective(v, p, target) == pytest.approx(expected, rel=0, abs=1e-12)
         marg = np.stack([np.bincount(states[:, i], weights=w, minlength=c) for i in range(n)])
@@ -140,8 +137,8 @@ def test_gradient_vanishes_at_converged_projection():
     target = random_rows(rng, 3, 3)
     v, report = iproject_exact(p, target)
     assert report.converged
-    _, z = apply_factors(p, v)
-    minimizer = FactorMatrix(v.values - math.log(z) / 3)
+    _, log_z = apply_factors(p, v)
+    minimizer = FactorMatrix(v.values - log_z / 3)
     grad = objective_gradient(minimizer, p, target)
     assert float(np.max(np.abs(grad))) < 1e-8
 

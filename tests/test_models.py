@@ -14,7 +14,7 @@ from maskdiff.dist import (
     sample_states,
     univariate_marginals,
 )
-from maskdiff.errors import InvalidDistributionError, SupportError
+from maskdiff.errors import AlphabetMismatchError, InvalidDistributionError, SupportError
 from maskdiff.iproj import dcd_factors
 from maskdiff.models import (
     ARCopulaModel,
@@ -135,6 +135,25 @@ def test_ar_rows_equal_the_suffix_sum_expression(n, c):
                         ar_conditional(model, prefix, i)
                 else:
                     assert np.array_equal(ar_conditional(model, prefix, i), row / mass)
+
+
+def test_models_on_one_table_share_its_prefix_marginals_built_once():
+    data = random_table(np.random.default_rng(71), 3, 2, floor=True)
+    dm, cop = DiffusionMarginalModel.exact(data), ARCopulaModel.exact(data)
+    assert "prefix_marginals" not in vars(data)  # built on first use
+    mask = data.alphabet.mask_index
+    dm_marginals_full(dm, SequenceState((0, mask, mask), 2, data.alphabet))
+    built = data.prefix_marginals
+    ar_conditional(cop, (1, 0), 2)
+    dm_marginals_causal(dm, SequenceState((mask, 1, mask), 2, data.alphabet))
+    assert data.prefix_marginals is built and len(built) == 4
+    # the models hold no tensors of their own
+    assert set(vars(dm)) == set(vars(cop)) == {"table", "kind", "_query_cache"}
+    for k, m in enumerate(built):
+        assert not m.flags.writeable
+        np.testing.assert_array_equal(m, data.tensor().sum(axis=tuple(range(k, 3))))
+    with pytest.raises(ValueError):
+        built[2][0, 0] = 0.0
 
 
 def test_dm_full_matches_renormalized_brute_marginals():
@@ -294,6 +313,8 @@ def test_models_need_a_position():
     for cls in (DiffusionMarginalModel, ARCopulaModel):
         with pytest.raises(InvalidDistributionError, match="num_positions"):
             cls.exact(empty)
+    with pytest.raises(AlphabetMismatchError, match="num_positions"):
+        fit_counts_table(np.zeros((3, 0), dtype=np.int64), Alphabet(0, 2))
 
 
 def test_fit_counts_rejects_bad_tokens():

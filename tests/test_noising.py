@@ -72,9 +72,12 @@ def test_schedule_monotone_for_many_steps():
 
 def test_non_monotone_alphas_rejected():
     with pytest.raises(ScheduleError):
-        NoiseSchedule("linear", 2, 1e-3, (0.8, 0.5))
+        NoiseSchedule("linear", 1e-3, (0.8, 0.5))
     with pytest.raises(ScheduleError):
-        NoiseSchedule("linear", 2, 1e-3, (0.5, 0.9))  # final != 1
+        NoiseSchedule("linear", 1e-3, (0.5, 0.9))  # final != 1
+    with pytest.raises(ScheduleError):
+        NoiseSchedule("linear", 1e-3, ())
+    assert NoiseSchedule("linear", 1e-3, (0.5, 1.0)).steps == 2
 
 
 def test_alpha_and_ratios():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -146,6 +147,24 @@ def test_beta_zero_limit_is_pure_copula_with_clamps():
                 continue
             expected *= ar_conditional(cop, tokens[:i], i)[tokens[i]]
         assert weight == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("mode,tokens", [("dcd", (3, 2, 3, 3)), ("dcd_ar_unmask", (0, 2, 3, 3))])
+def test_fused_row_scales_the_laws_own_v_by_cfg_beta(mode, tokens):
+    data = gen_data(SyntheticSpec("markov_chain", 4, 3, 0.8, seed=1))
+    dm, cop = exact_models(data)
+    x_next = SequenceState(tokens, 1, data.alphabet)  # 3 is MASK
+    law = _step_law(dm, cop, x_next, config(mode, 2, beta=0.5))
+    assert law.beta == 0.5 and law.fill == 4
+    # on masked rows V is 0 unless the full context sees a token to the right
+    masked = x_next.masked_positions
+    assert np.any(law.factors.values[list(masked)] != 0.0) == (mode == "dcd")
+    for i in masked:
+        for prefix in itertools.product(range(3), repeat=i):
+            if any(tok != 3 and tok != prefix[k] for k, tok in enumerate(tokens[:i])):
+                continue
+            weights = ar_conditional(cop, prefix, i) * np.exp(0.5 * law.factors.values[i])
+            assert np.array_equal(law.row(i, prefix), weights / weights.sum())
 
 
 def test_one_shot_dcd_step_matches_apply_factors_form():
