@@ -3,7 +3,9 @@
 Generators produce small joint tables with a controllable amount of
 dependence. Evaluation never estimates anything it can enumerate: the
 distribution a sampler induces over final sequences is computed by dynamic
-programming over the exact per-step laws, and quality is measured as
+programming over the exact per-step laws, held as a (C+1,)*N weight tensor
+per time and advanced one mask pattern at a time (every state that shares
+a pattern moves in one tensor pass), and quality is measured as
 KL(data || induced) plus the expected negative log-likelihood of generated
 sequences under the true data table. The step-count lower bound
 H(data) + sum_t E[TC(reverse posterior)] is evaluated exactly from the
@@ -17,6 +19,7 @@ CSV is byte-stable (wall-clock timings are opt-in and empty by default).
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from collections import defaultdict
@@ -40,8 +43,14 @@ from .dist import (
     univariate_marginals,
 )
 from .errors import CapExceededError, InvalidDistributionError, ScheduleError, SupportError
-from .iproj import apply_factors, iproject_exact
-from .models import ARCopulaModel, DiffusionMarginalModel, ar_chain_table, dm_marginals_full
+from .iproj import apply_factors, iproject_exact, rankwise_update
+from .models import (
+    ARCopulaModel,
+    DiffusionMarginalModel,
+    ar_chain_table,
+    dm_marginals_full,
+    pattern_rows,
+)
 from .noising import (
     NoiseSchedule,
     SequenceState,
@@ -51,12 +60,14 @@ from .noising import (
 )
 from .sampler import (
     MODE_AR_ONLY,
+    MODE_DIFFUSION_ONLY,
     MODES,
     SamplerConfig,
     check_models,
     enumerate_aux_distribution,
-    enumerate_step_distribution,
+    fused_weights,
     sample,
+    step_frame,
 )
 
 DATA_KINDS = ("random_dirichlet", "correlated_phrases", "markov_chain")
@@ -204,8 +215,9 @@ def induced_distribution(
     rng: np.random.Generator | None = None,
 ) -> InducedResult:
     """Exact marginal law of the final sequence under cfg.mode, by dynamic
-    programming over the per-step laws. Beyond the enumeration cap a Monte
-    Carlo estimate is returned when mc_samples is given, else CapExceededError."""
+    programming over the per-step laws, one tensor pass per (step, mask
+    pattern): see `_dense_law`. Beyond the enumeration cap a Monte Carlo
+    estimate is returned when mc_samples is given, else CapExceededError."""
     alphabet = check_models(dm, copula, cfg.mode)
     if cfg.mode == MODE_AR_ONLY:
         return InducedResult(ar_chain_table(copula), "exact")
@@ -218,20 +230,117 @@ def induced_distribution(
                 "from Python for a Monte Carlo estimate"
             )
         return _induced_monte_carlo(dm, copula, cfg, alphabet, mc_samples, rng)
-    current: dict[SequenceState, float] = {
-        SequenceState.all_masked(alphabet, cfg.steps): 1.0
-    }
-    for _ in range(cfg.steps):
-        nxt: dict[SequenceState, float] = defaultdict(float)
-        for state, weight in current.items():
-            step = enumerate_step_distribution(dm, copula, state, cfg)
-            for nxt_state, p in step.items():
-                nxt[nxt_state] += weight * p
-        current = dict(nxt)
-    probs = np.zeros(alphabet.num_states, dtype=np.float64)
-    for state, weight in current.items():
-        probs[state_to_index(alphabet, state.tokens)] += weight
-    return InducedResult(JointTable(alphabet, probs), "exact")
+    probs = _dense_law(dm, copula, cfg, alphabet)
+    return InducedResult(JointTable(alphabet, probs.ravel()), "exact")
+
+
+def _dense_law(
+    dm: DiffusionMarginalModel,
+    copula: ARCopulaModel | None,
+    cfg: SamplerConfig,
+    alphabet: Alphabet,
+) -> np.ndarray:
+    """The final-sequence law as a (C,)*N tensor. The weights of the states
+    at each time form a (C+1,)*N tensor, with a boolean twin that marks the
+    states the per-state enumeration would visit: a path whose weight
+    underflows to 0 still counts, so it still raises. The states that share
+    a mask pattern differ only in their clamped tokens, and one pass moves
+    them all: it checks their evidence, multiplies the content layer's rows
+    in left-to-right order (as tensors over the clamped and drawn axes),
+    applies each masked chunk's keep/re-mask factor and adds the result
+    into the next time's tensor."""
+    n, c = alphabet.num_positions, alphabet.num_categories
+    weights = np.zeros((c + 1,) * n, dtype=np.float64)
+    weights[(c,) * n] = 1.0
+    present = weights > 0.0
+    rows = _PatternRows(dm, copula, cfg)
+    for time in range(cfg.steps, 0, -1):
+        nxt, reached = np.zeros_like(weights), np.zeros_like(present)
+        for masked in itertools.product((False, True), repeat=n):
+            src = tuple(c if m else slice(0, c) for m in masked)
+            here = present[src]
+            if not here.any():
+                continue
+            shape = tuple(1 if m else c for m in masked)
+            w, p = weights[src].reshape(shape), here.reshape(shape)
+            if np.any(p & ~rows.evidence(masked)):
+                raise SupportError("a reachable state's unmasked tokens have zero probability")
+            x_next = SequenceState(tuple(c if m else 0 for m in masked), time, alphabet)
+            fill, kernel = step_frame(x_next, cfg)
+            for i in x_next.masked_positions:
+                if i >= fill:
+                    break
+                row, ok = rows.row(masked, i)
+                if np.any(p & ~ok):
+                    raise SupportError(f"fused row at position {i} has no mass")
+                w, p = w * row, p & (row > 0.0)
+            if kernel is None:  # positions past the fill stay MASK
+                dest = tuple(slice(0, c) if i < fill else slice(c, c + 1) for i in range(n))
+            else:
+                for chunk in kernel.mask_chunks:
+                    w, p = _remask(w, p, chunk, kernel.ratio)
+                dest = tuple(slice(None) if m else slice(0, c) for m in masked)
+            nxt[dest] += w
+            reached[dest] |= p
+        weights, present = nxt, reached
+    return weights[(slice(0, c),) * n]
+
+
+def _remask(
+    w: np.ndarray, p: np.ndarray, chunk: tuple[int, ...], ratio: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """One masked chunk's re-mask step on a content-layer tensor: its axes
+    grow from C to C+1, keeping each token with 1 - ratio or moving the
+    chunk's whole mass to MASK with ratio."""
+    c = w.shape[chunk[0]]
+    shape = tuple(c + 1 if i in chunk else size for i, size in enumerate(w.shape))
+    keep = tuple(slice(0, c) if i in chunk else slice(None) for i in range(w.ndim))
+    gone = tuple(slice(c, None) if i in chunk else slice(None) for i in range(w.ndim))
+    out, reached = np.zeros(shape), np.zeros(shape, dtype=bool)
+    out[keep] = w * (1.0 - ratio)
+    out[gone] = ratio * w.sum(axis=chunk, keepdims=True)
+    reached[keep] = p & (1.0 - ratio > 0.0)
+    reached[gone] = p.any(axis=chunk, keepdims=True) & (ratio > 0.0)
+    return out, reached
+
+
+class _PatternRows:
+    """The content layer's rows for every state of a mask pattern, as N-axis
+    tensors with the row along the drawn position's axis. No row depends on
+    time, so each is built once per pattern and position for a whole
+    evaluation."""
+
+    def __init__(self, dm: DiffusionMarginalModel, copula: ARCopulaModel | None,
+                 cfg: SamplerConfig) -> None:
+        self.dm, self.copula, self.beta = dm, copula, cfg.beta
+        self.fused = cfg.mode != MODE_DIFFUSION_ONLY
+        self._evidence: dict[tuple[bool, ...], np.ndarray] = {}
+        self._rows: dict[tuple[tuple[bool, ...], int], tuple[np.ndarray, np.ndarray]] = {}
+
+    def evidence(self, masked: tuple[bool, ...]) -> np.ndarray:
+        """Whether each state's unmasked tokens have mass under the marginal
+        model, over the unmasked axes."""
+        if masked not in self._evidence:
+            axes = tuple(i for i, m in enumerate(masked) if m)
+            self._evidence[masked] = self.dm.table.tensor().sum(axis=axes, keepdims=True) > 0.0
+        return self._evidence[masked]
+
+    def row(self, masked: tuple[bool, ...], i: int) -> tuple[np.ndarray, np.ndarray]:
+        """(rows at masked position i, where those rows have mass)."""
+        if (masked, i) not in self._rows:
+            self._rows[masked, i] = self._build(masked, i)
+        return self._rows[masked, i]
+
+    def _build(self, masked: tuple[bool, ...], i: int) -> tuple[np.ndarray, np.ndarray]:
+        full = pattern_rows(self.dm, masked, i)
+        if not self.fused:  # the evidence check already covers these rows
+            return full, np.True_
+        v = rankwise_update(*np.broadcast_arrays(full, pattern_rows(self.dm, masked, i, causal=True)))
+        cond = pattern_rows(self.copula, (False,) * len(masked), i, causal=True)
+        weights = fused_weights(np.moveaxis(cond, i, -1), np.moveaxis(v, i, -1), self.beta)
+        total = weights.sum(axis=-1, keepdims=True)
+        fused = np.divide(weights, total, out=np.zeros_like(weights), where=total > 0.0)
+        return np.moveaxis(fused, -1, i), np.moveaxis(total > 0.0, -1, i)
 
 
 def _induced_monte_carlo(

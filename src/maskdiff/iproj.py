@@ -276,13 +276,13 @@ def iproject_descent(
 
 def rankwise_update(p_dm_rows: ArrayLike, p_copula_rows: ArrayLike) -> np.ndarray:
     """Closed form log(target row) - log(current row), with both floored
-    before the logs, on one row or elementwise on two (N, C) row matrices.
-    With every other row zero, applying a row moves position i's marginal
-    exactly onto the target row."""
+    before the logs, on one row or elementwise on two row arrays of equal
+    shape. With every other row zero, applying a row moves position i's
+    marginal exactly onto the target row."""
     dm = np.maximum(np.asarray(p_dm_rows, dtype=np.float64), POSITIVITY_FLOOR)
     cop = np.maximum(np.asarray(p_copula_rows, dtype=np.float64), POSITIVITY_FLOOR)
-    if dm.shape != cop.shape or dm.ndim not in (1, 2):
-        raise AlphabetMismatchError("rows must be 1-D or 2-D and of equal shape")
+    if dm.shape != cop.shape or dm.ndim < 1:
+        raise AlphabetMismatchError("rows must be at least 1-D and of equal shape")
     return np.log(dm) - np.log(cop)
 
 

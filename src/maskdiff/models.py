@@ -173,6 +173,24 @@ def _row(model: _TableModel, context: tuple[int, ...], i: int) -> np.ndarray:
     return _normalized(position_sum(sub, context[:i].count(mask)), context)
 
 
+def pattern_rows(
+    model: _TableModel, masked: Sequence[bool], i: int, *, causal: bool = False
+) -> np.ndarray:
+    """Batched twin of `_row`: row i of `dm_marginals_full` (masked i) or
+    `dm_marginals_causal` for every state whose mask pattern is `masked`, at
+    once. The result is an N-axis tensor with C on the axes of the unmasked
+    positions the row reads and on axis i (the row), and 1 elsewhere; a
+    context without mass gets a zero row. With nothing masked, the causal
+    row is the copula conditional p(x_i | x_<i) for every prefix."""
+    u = max((j + 1 for j, m in enumerate(masked) if not m), default=0)
+    k = i + 1 if causal else max(u, i + 1)  # the row reads M_k
+    other = tuple(j for j in range(k) if masked[j] and j != i)
+    sub = model.table.prefix_marginals[k].sum(axis=other, keepdims=True)
+    sub = sub.reshape(sub.shape + (1,) * (len(masked) - k))
+    mass = sub.sum(axis=i, keepdims=True)
+    return np.divide(sub, mass, out=np.zeros_like(sub), where=mass > 0.0)
+
+
 def _causal_rows(model: _TableModel, tokens: tuple[int, ...]) -> np.ndarray:
     mask = model.alphabet.mask_index
     return np.array([_row(model, tokens[:i] + (mask,), i) for i in range(len(tokens))])

@@ -27,8 +27,11 @@ One left-to-right walker consumes a law, and `_outcomes` ends each content
 layer's step. `sample` draws one category per masked position and one
 re-mask decision per masked chunk; `enumerate_aux_distribution` and
 `enumerate_step_distribution` keep every option with positive mass and so
-give the per-step law exactly. The dynamic-programming evaluation in the
-harness builds on them.
+give the per-step law exactly, one state at a time. The harness's exact
+evaluation does not walk states: it moves every state of a mask pattern at
+once, with the same `step_frame` and `fused_weights` and the batched rows
+of `models.pattern_rows`, and is checked against a dynamic programme over
+`enumerate_step_distribution`.
 """
 
 from __future__ import annotations
@@ -213,15 +216,7 @@ class StepLaw:
         row = ar_conditional(self.copula, prefix, i)
         if self.factors is None:
             return row
-        beta, v = self.beta, self.factors.values[i]
-        if float(beta) * float(np.abs(v).max()) > 700.0:  # exp overflows past 709
-            # shift by the top V on the support (off it, row is 0); clipping
-            # keeps beta * shift in [-750, 0], and exp(-750) is 0
-            shift = v - v[row > 0.0].max()
-            expo = beta * np.clip(shift, -750.0 / beta, 0.0)
-        else:
-            expo = beta * v
-        weights = row * np.exp(expo)
+        weights = fused_weights(row, self.factors.values[i], self.beta)
         total = float(weights.sum())
         if total <= 0.0:
             raise SupportError(f"fused row at position {i} has no mass")
@@ -235,9 +230,50 @@ class StepLaw:
         return sum(self.x_next.is_masked(i) for i in range(self.fill))
 
 
+def fused_weights(row: np.ndarray, v: np.ndarray, beta: float) -> np.ndarray:
+    """row * exp(beta * v) along the last axis, unnormalized; row and v
+    broadcast. exp overflows past 709, so a row whose beta * max|v| passes
+    700 is shifted by its top v on the support (off it, row is 0) and
+    clipped: beta * shift stays in [-750, 0], and exp(-750) is 0."""
+    if v.ndim == 1:  # the walker's one row; Python floats overflow without a warning
+        big = float(beta) * float(np.abs(v).max()) > 700.0
+        shift = big
+    else:
+        with np.errstate(over="ignore"):  # an infinite product only picks the branch
+            big = beta * np.abs(v).max(axis=-1, keepdims=True) > 700.0
+        shift = bool(big.any())
+    if shift:
+        top = np.where(row > 0.0, v, -np.inf).max(axis=-1, keepdims=True)
+        v = np.where(big, np.clip(v - top, -750.0 / beta, 0.0), v)
+    return row * np.exp(beta * v)
+
+
 def _check_time(x_next: SequenceState, cfg: SamplerConfig) -> None:
     if not 1 <= x_next.time <= cfg.steps:
         raise ScheduleError(f"x_next carries time {x_next.time}, outside [1, {cfg.steps}]")
+
+
+def step_frame(
+    x_next: SequenceState, cfg: SamplerConfig
+) -> tuple[int, RemaskDistribution | None]:
+    """(fill, re-mask kernel) of cfg.mode's step at x_{t+1}, for dcd,
+    diffusion_only and dcd_ar_unmask. Both depend only on the mask pattern
+    and time of x_{t+1}, so one frame serves every state that shares them.
+    Raises ScheduleError for a time outside [1, T] and ClampError for a
+    pattern the mode cannot reach."""
+    _check_time(x_next, cfg)
+    n = x_next.alphabet.num_positions
+    if cfg.mode != MODE_DCD_AR_UNMASK:
+        return n, remask_kernel(x_next, cfg.schedule)
+    bounds = (0,) + ar_unmask_schedule(n, cfg.steps)
+    done = cfg.steps - x_next.time  # steps already taken
+    prev_u, new_u = bounds[done], bounds[done + 1]
+    if x_next.unmasked_positions != tuple(range(prev_u)):
+        raise ClampError(
+            "dcd_ar_unmask expects an unmasked prefix of length "
+            f"{prev_u}, got positions {x_next.unmasked_positions}"
+        )
+    return new_u, None
 
 
 def _fused_law(
@@ -245,13 +281,11 @@ def _fused_law(
     copula: ARCopulaModel | None,
     x_next: SequenceState,
     cfg: SamplerConfig,
-    fill: int,
-    remask: bool,
 ) -> StepLaw:
+    fill, kernel = step_frame(x_next, cfg)
     full = dm_marginals_full(dm, x_next)
     causal = dm_marginals_causal(dm, x_next)
     factors = dcd_factors(full, causal)
-    kernel = remask_kernel(x_next, cfg.schedule) if remask else None
     return StepLaw(x_next, x_next.time - 1, fill, kernel, copula, factors, cfg.beta, full, causal)
 
 
@@ -261,8 +295,7 @@ def dcd_step(
     x_next: SequenceState,
     cfg: SamplerConfig,
 ) -> StepLaw:
-    _check_time(x_next, cfg)
-    return _fused_law(dm, copula, x_next, cfg, x_next.alphabet.num_positions, True)
+    return _fused_law(dm, copula, x_next, cfg)
 
 
 def diffusion_only_step(
@@ -271,10 +304,8 @@ def diffusion_only_step(
     x_next: SequenceState,
     cfg: SamplerConfig,
 ) -> StepLaw:
-    _check_time(x_next, cfg)
-    full = dm_marginals_full(dm, x_next)
-    kernel = remask_kernel(x_next, cfg.schedule)
-    return StepLaw(x_next, x_next.time - 1, x_next.alphabet.num_positions, kernel, full=full)
+    fill, kernel = step_frame(x_next, cfg)
+    return StepLaw(x_next, x_next.time - 1, fill, kernel, full=dm_marginals_full(dm, x_next))
 
 
 def dcd_ar_unmask_step(
@@ -283,16 +314,9 @@ def dcd_ar_unmask_step(
     x_next: SequenceState,
     cfg: SamplerConfig,
 ) -> StepLaw:
-    _check_time(x_next, cfg)
-    bounds = (0,) + ar_unmask_schedule(x_next.alphabet.num_positions, cfg.steps)
-    done = cfg.steps - x_next.time  # steps already taken
-    prev_u, new_u = bounds[done], bounds[done + 1]
-    if x_next.unmasked_positions != tuple(range(prev_u)):
-        raise ClampError(
-            "dcd_ar_unmask expects an unmasked prefix of length "
-            f"{prev_u}, got positions {x_next.unmasked_positions}"
-        )
-    return _fused_law(dm, copula, x_next, cfg, new_u, False)
+    """dcd's fused rows, filled up to the unmask boundary `step_frame` reads
+    from cfg; no re-masking."""
+    return _fused_law(dm, copula, x_next, cfg)
 
 
 def ar_unmask_schedule(num_positions: int, steps: int) -> tuple[int, ...]:

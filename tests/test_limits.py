@@ -7,14 +7,13 @@ RuntimeWarning (overflow, NaN) is a failure.
 
 from __future__ import annotations
 
-import sys
 import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from maskdiff.dist import ENUMERATION_CAP, Alphabet, JointTable, univariate_marginals
+from maskdiff.dist import ENUMERATION_CAP, JointTable, univariate_marginals
 from maskdiff.errors import MaskDiffError
 from maskdiff.harness import (
     EXACT_INDUCED_CAP,
@@ -32,21 +31,16 @@ from maskdiff.sampler import (
     sample,
 )
 
-from _helpers import random_table
+from _helpers import HUGE_BETAS, random_table, zero_table
 
 BATTERY_BETAS = (0.0, 1.0, 1e3, 1e6)
-# finite betas where beta * V itself overflows a float
-HUGE_BETAS = (1e307, 1e308, sys.float_info.max)
 
 
 def battery_table(rng: np.random.Generator, n: int, c: int) -> JointTable:
     """A random table, floored or with about a third of its states at zero."""
     if rng.random() < 0.3:
         return random_table(rng, n, c, floor=True)
-    raw = rng.gamma(1.0, size=c**n)
-    raw[rng.random(c**n) < 1 / 3] = 0.0
-    raw[rng.integers(c**n)] += 1.0  # keep some mass
-    return JointTable(Alphabet(n, c), raw / raw.sum())
+    return zero_table(rng, n, c)
 
 
 def run_battery(trials: int, seed: int) -> Counter:

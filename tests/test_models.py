@@ -25,6 +25,7 @@ from maskdiff.models import (
     dm_marginals_full,
     fit_counts_table,
     load_corpus,
+    pattern_rows,
     save_corpus,
 )
 from maskdiff.noising import (
@@ -35,7 +36,7 @@ from maskdiff.noising import (
     renormalize_marginals,
 )
 
-from _helpers import random_table
+from _helpers import random_table, zero_table
 
 # ---------------------------------------------------------------------------
 # diffusion marginals
@@ -135,6 +136,45 @@ def test_ar_rows_equal_the_suffix_sum_expression(n, c):
                         ar_conditional(model, prefix, i)
                 else:
                     assert np.array_equal(ar_conditional(model, prefix, i), row / mass)
+
+
+def batched_row_at(tensor: np.ndarray, tokens: tuple[int, ...], i: int) -> np.ndarray:
+    """The row a `pattern_rows` tensor holds for one state: along axis i,
+    at the state's tokens on the axes the row depends on."""
+    return tensor[tuple(
+        slice(None) if j == i else (tok if tensor.shape[j] > 1 else 0)
+        for j, tok in enumerate(tokens)
+    )]
+
+
+@pytest.mark.parametrize("n,c", [(4, 3), (5, 2)])
+def test_pattern_rows_equal_the_per_state_queries_at_every_state(n, c):
+    """Within 1e-15 at every masked row of every state; a context without
+    mass, where the per-state query raises, gets a zero row."""
+    rng = np.random.default_rng(90)
+    for data in (random_table(rng, n, c, floor=True), zero_table(rng, n, c)):
+        dm, cop = DiffusionMarginalModel.exact(data), ARCopulaModel.exact(data)
+        for tokens in itertools.product(range(c + 1), repeat=n):
+            x_next = SequenceState(tokens, 1, data.alphabet)
+            masked = tuple(tok == c for tok in tokens)
+            full = query(dm_marginals_full, dm, x_next)
+            for i in x_next.masked_positions:
+                # row i's own context: the tokens left of i, the rest masked
+                left = SequenceState(tokens[:i] + (c,) * (n - i), 1, data.alphabet)
+                causal = query(dm_marginals_causal, dm, left)
+                for rows, is_causal in ((full, False), (causal, True)):
+                    got = batched_row_at(pattern_rows(dm, masked, i, causal=is_causal), tokens, i)
+                    want = 0.0 if isinstance(rows, SupportError) else rows[i]
+                    assert np.abs(got - want).max() <= 1e-15
+        for i in range(n):  # with nothing masked, the causal rows are the copula's
+            cond = pattern_rows(cop, (False,) * n, i, causal=True)
+            for prefix in itertools.product(range(c), repeat=i):
+                got = batched_row_at(cond, prefix + (0,) * (n - i), i)
+                try:
+                    want = ar_conditional(cop, prefix, i)
+                except SupportError:
+                    want = 0.0
+                assert np.abs(got - want).max() <= 1e-15
 
 
 def test_models_on_one_table_share_its_prefix_marginals_built_once():

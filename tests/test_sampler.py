@@ -42,11 +42,12 @@ from maskdiff.sampler import (
     diffusion_only_step,
     enumerate_aux_distribution,
     enumerate_step_distribution,
+    fused_weights,
     required_models,
     sample,
 )
 
-from _helpers import random_rows, random_table
+from _helpers import HUGE_BETAS, random_rows, random_table
 
 
 def correlated_pair() -> JointTable:
@@ -427,6 +428,22 @@ def test_fused_rows_stay_valid_at_large_beta(beta):
         for seed in range(6):
             x0, _ = sample(dm, cop, cfg, np.random.default_rng(seed))
             assert induced.prob(x0.tokens) > 0.0
+
+
+@pytest.mark.parametrize("beta", [2.0, 1e3, *HUGE_BETAS])
+def test_fused_weights_choose_the_overflow_branch_per_row(beta):
+    # row 0's beta * max|v| stays under 700 at every beta here; row 1's
+    # passes it from beta = 1e3 on, and its off-support top v must not set the shift
+    rows = np.array([[0.2, 0.3, 0.5], [0.0, 0.4, 0.6]])
+    v = np.array([[-3e-306, 1e-306, 2e-306], [2.0, -0.5, 0.5]])
+    batch = fused_weights(rows, v, beta)
+    for k in range(2):
+        assert np.array_equal(batch[k], fused_weights(rows[k], v[k], beta))
+    assert np.array_equal(batch[0], rows[0] * np.exp(beta * v[0]))
+    if beta > 700.0:  # the top v on the support gets weight, the rest exp(-inf)
+        assert np.array_equal(batch[1], [0.0, 0.0, 0.6])
+    else:
+        assert np.array_equal(batch[1], rows[1] * np.exp(beta * v[1]))
 
 
 @pytest.mark.parametrize("beta", [math.inf, -math.inf, math.nan, -1.0])
