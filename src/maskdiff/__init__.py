@@ -65,7 +65,6 @@ from .noising import (
     SequenceState,
     aux_posterior,
     brute_reverse_posterior,
-    forward_sample,
     forward_state_distribution,
     make_schedule,
     remask_kernel,

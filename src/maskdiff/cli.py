@@ -31,7 +31,6 @@ from .harness import (
 from .models import (
     ARCopulaModel,
     DiffusionMarginalModel,
-    fit_counts_table,
     load_corpus,
     save_corpus,
 )
@@ -203,9 +202,6 @@ def cmd_fit(args: argparse.Namespace, cfg: dict) -> int:
         table = load_table(args.sample_from)
         rng = np.random.default_rng(_get(args, cfg, "data", "seed"))
         seqs = sample_states(table, args.corpus_size, rng)
-        corpus_path = Path(args.out_dir) / "corpus.txt"
-        save_corpus(seqs, corpus_path)
-        print(f"wrote {corpus_path} ({args.corpus_size} sequences)")
         alphabet = table.alphabet
     elif args.corpus:
         seqs = load_corpus(args.corpus)
@@ -214,8 +210,13 @@ def cmd_fit(args: argparse.Namespace, cfg: dict) -> int:
         alphabet = Alphabet(seqs.shape[1], args.num_categories)
     else:
         raise ConfigError("fit needs one of --corpus, --from-table, --sample-from")
-    model_table = fit_counts_table(seqs, alphabet, smoothing)
-    DiffusionMarginalModel(model_table, "counts").save(out)
+    # fit first, so a bad smoothing writes nothing
+    model = DiffusionMarginalModel.from_corpus(seqs, alphabet, smoothing)
+    if args.sample_from:
+        corpus_path = Path(args.out_dir) / "corpus.txt"
+        save_corpus(seqs, corpus_path)
+        print(f"wrote {corpus_path} ({args.corpus_size} sequences)")
+    model.save(out)
     print(f"wrote counts model {out} (smoothing={format_float_short(smoothing)})")
     return 0
 

@@ -56,7 +56,7 @@ SCHEMA: dict[str, dict[str, Setting]] = {
         "num_positions": Setting(int, 2),
         "num_categories": Setting(int, 2),
         "correlation_strength": Setting(float, 0.9),
-        "seed": Setting(int, 0),
+        "seed": Setting(count, 0),
     },
     "schedule": {
         "family": Setting(str, "linear"),
@@ -68,7 +68,7 @@ SCHEMA: dict[str, dict[str, Setting]] = {
         "mode": Setting(str, "dcd"),
         "beta": Setting(float, 1.0),
         "num_samples": Setting(count, 1),
-        "seed": Setting(int, 0),
+        "seed": Setting(count, 0),
     },
     "fit": {
         "smoothing": Setting(float, 1.0),

@@ -61,11 +61,11 @@ from .noising import (
 from .sampler import (
     MODE_AR_ONLY,
     MODE_DIFFUSION_ONLY,
-    MODES,
     SamplerConfig,
     check_models,
     enumerate_aux_distribution,
     fused_weights,
+    required_models,
     sample,
     step_frame,
 )
@@ -92,6 +92,8 @@ class SyntheticSpec:
             raise InvalidDistributionError("num_positions must be >= 1")
         if not 0.0 <= self.correlation_strength <= 1.0:
             raise InvalidDistributionError("correlation_strength must lie in [0, 1]")
+        if self.seed < 0:
+            raise InvalidDistributionError(f"seed must be >= 0, got {self.seed!r}")
 
 
 def gen_data(spec: SyntheticSpec) -> JointTable:
@@ -221,17 +223,26 @@ def induced_distribution(
     alphabet = check_models(dm, copula, cfg.mode)
     if cfg.mode == MODE_AR_ONLY:
         return InducedResult(ar_chain_table(copula), "exact")
-    state_count = (alphabet.num_categories + 1) ** alphabet.num_positions
-    if state_count * cfg.steps > EXACT_INDUCED_CAP:
+    try:
+        _check_exact_cap(alphabet, cfg.steps)
+    except CapExceededError:
         if mc_samples is None:
-            raise CapExceededError(
-                f"(C+1)^N * T = {state_count * cfg.steps} exceeds the exact cap "
-                f"{EXACT_INDUCED_CAP}; call induced_distribution(..., mc_samples=k) "
-                "from Python for a Monte Carlo estimate"
-            )
+            raise
         return _induced_monte_carlo(dm, copula, cfg, alphabet, mc_samples, rng)
     probs = _dense_law(dm, copula, cfg, alphabet)
     return InducedResult(JointTable(alphabet, probs.ravel()), "exact")
+
+
+def _check_exact_cap(alphabet: Alphabet, steps: int) -> None:
+    """Raise CapExceededError when an exact evaluation of `steps` steps over
+    `alphabet` would pass EXACT_INDUCED_CAP ((C+1)^N * T)."""
+    cells = (alphabet.num_categories + 1) ** alphabet.num_positions * steps
+    if cells > EXACT_INDUCED_CAP:
+        raise CapExceededError(
+            f"(C+1)^N * T = {cells} exceeds the exact cap "
+            f"{EXACT_INDUCED_CAP}; call induced_distribution(..., mc_samples=k) "
+            "from Python for a Monte Carlo estimate"
+        )
 
 
 def _dense_law(
@@ -456,39 +467,42 @@ def run_sweep(
 ) -> list[ExperimentResult]:
     """Evaluate every (mode, T, beta) cell exactly. Writes results.csv and
     two-column per-mode plot files when out_dir is given. Output bytes are
-    stable across runs unless emit_timings is set."""
+    stable across runs unless emit_timings is set. Every cell is checked
+    (mode, schedule, beta, models, exact cap) before any is computed."""
     for mode in modes:
-        if mode not in MODES:
-            raise InvalidDistributionError(f"unknown mode {mode!r}")
-    bound_cache: dict[int, float] = {}
-    results: list[ExperimentResult] = []
+        required_models(mode)  # rejects an unknown mode
+    betas = sorted(set(float(b) for b in beta_list))
+    cells: list[SamplerConfig] = []
     for mode in sorted(set(modes)):
         for steps in sorted(set(int(t) for t in steps_list)):
             sched = make_schedule(family, steps, epsilon, chunk_size)
-            if steps not in bound_cache:
-                bound_cache[steps] = elbo_bound(data, sched)
-            for beta in sorted(set(float(b) for b in beta_list)):
-                cfg = SamplerConfig(
-                    steps=steps,
-                    schedule=sched,
-                    mode=mode,
-                    beta=beta,
-                    chunk_size=chunk_size,
-                )
-                start = time.perf_counter()
-                induced = induced_distribution(dm, copula, cfg)
-                wall = (time.perf_counter() - start) * 1000.0
-                results.append(
-                    ExperimentResult(
-                        mode=mode,
-                        steps=steps,
-                        beta=beta,
-                        kl_to_data=kl_to_data(data, induced.table),
-                        nll=expected_nll(data, induced.table),
-                        elbo_bound=bound_cache[steps],
-                        wall_ms=wall if emit_timings else None,
-                    )
-                )
+            cells.extend(
+                SamplerConfig(steps=steps, schedule=sched, mode=mode, beta=beta,
+                              chunk_size=chunk_size)
+                for beta in betas
+            )
+            alphabet = check_models(dm, copula, mode)
+            if mode != MODE_AR_ONLY:
+                _check_exact_cap(alphabet, steps)
+    bound_cache: dict[int, float] = {}
+    results: list[ExperimentResult] = []
+    for cfg in cells:
+        if cfg.steps not in bound_cache:
+            bound_cache[cfg.steps] = elbo_bound(data, cfg.schedule)
+        start = time.perf_counter()
+        induced = induced_distribution(dm, copula, cfg)
+        wall = (time.perf_counter() - start) * 1000.0
+        results.append(
+            ExperimentResult(
+                mode=cfg.mode,
+                steps=cfg.steps,
+                beta=cfg.beta,
+                kl_to_data=kl_to_data(data, induced.table),
+                nll=expected_nll(data, induced.table),
+                elbo_bound=bound_cache[cfg.steps],
+                wall_ms=wall if emit_timings else None,
+            )
+        )
     if out_dir is not None:
         write_sweep_outputs(results, out_dir)
     return results

@@ -18,6 +18,7 @@ Corpus files hold one sequence per line as N space-separated integer tokens
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence, TypeVar
@@ -58,11 +59,13 @@ def fit_counts_table(
         raise AlphabetMismatchError("a corpus must be (M, num_positions) with num_positions >= 1")
     if seqs.size and (seqs.min() < 0 or seqs.max() >= c):
         raise InvalidDistributionError("corpus tokens out of range")
-    if smoothing < 0.0:
-        raise InvalidDistributionError("smoothing must be >= 0")
+    if not (smoothing >= 0.0 and math.isfinite(smoothing)):
+        raise InvalidDistributionError(f"smoothing must be finite and >= 0, got {smoothing!r}")
     idx = np.ravel_multi_index(seqs.T, (c,) * n)
     counts = np.bincount(idx, minlength=alphabet.num_states).astype(np.float64)
     total = counts.sum() + smoothing * alphabet.num_states
+    if not math.isfinite(total):
+        raise InvalidDistributionError(f"smoothing {smoothing!r} makes the total mass non-finite")
     if total <= 0.0:
         raise InvalidDistributionError("empty corpus with zero smoothing")
     probs = (counts + smoothing) / total

@@ -48,22 +48,18 @@ from .errors import (
     SupportError,
 )
 
-SCHEDULE_FAMILIES = ("linear", "log-linear")
 DEFAULT_EPSILON = 1e-3
 
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Monotone mask probabilities alpha_1..alpha_T, alpha_T = 1; T = len(alphas)."""
+    """Monotone mask probabilities alpha_1..alpha_T, alpha_T = 1; T = len(alphas).
+    `make_schedule` builds them from a family and epsilon."""
 
-    family: str
-    epsilon: float
     alphas: tuple[float, ...]
     chunk_size: int = 1
 
     def __post_init__(self) -> None:
-        if self.family not in SCHEDULE_FAMILIES:
-            raise ScheduleError(f"unknown schedule family {self.family!r}")
         if len(self.alphas) < 1:
             raise ScheduleError("a schedule needs at least one alpha")
         if self.chunk_size < 1:
@@ -126,7 +122,7 @@ def make_schedule(
         alphas.append(1.0)
     else:
         raise ScheduleError(f"unknown schedule family {family!r}")
-    return NoiseSchedule(family, epsilon, tuple(alphas), chunk_size)
+    return NoiseSchedule(tuple(alphas), chunk_size)
 
 
 def chunk_groups(num_positions: int, chunk_size: int) -> tuple[tuple[int, ...], ...]:
@@ -163,10 +159,6 @@ class SequenceState:
     def all_masked(cls, alphabet: Alphabet, time: int) -> "SequenceState":
         return cls((alphabet.mask_index,) * alphabet.num_positions, time, alphabet)
 
-    @classmethod
-    def from_data(cls, tokens: Sequence[int], alphabet: Alphabet) -> "SequenceState":
-        return cls(tuple(tokens), 0, alphabet)
-
     def is_masked(self, i: int) -> bool:
         return self.tokens[i] == self.alphabet.mask_index
 
@@ -177,23 +169,6 @@ class SequenceState:
     @property
     def unmasked_positions(self) -> tuple[int, ...]:
         return tuple(i for i, tok in enumerate(self.tokens) if tok != self.alphabet.mask_index)
-
-
-def forward_sample(
-    x0: SequenceState, t: int, sched: NoiseSchedule, rng: np.random.Generator
-) -> SequenceState:
-    """Noise a clean sequence to time t: each chunk masks with probability
-    alpha_t (one Bernoulli draw per chunk)."""
-    if x0.time != 0:
-        raise InvalidDistributionError("forward_sample starts from a time-0 state")
-    alpha = sched.alpha(t)
-    mask = x0.alphabet.mask_index
-    tokens = list(x0.tokens)
-    for group in chunk_groups(x0.alphabet.num_positions, sched.chunk_size):
-        if rng.random() < alpha:
-            for i in group:
-                tokens[i] = mask
-    return SequenceState(tuple(tokens), t, x0.alphabet)
 
 
 def aux_posterior(data: JointTable, x_next: SequenceState) -> JointTable:

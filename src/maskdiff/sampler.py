@@ -115,14 +115,15 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise InvalidDistributionError(f"unknown mode {self.mode!r}")
+        required_models(self.mode)  # rejects an unknown mode
         if self.steps != self.schedule.steps:
             raise InvalidDistributionError("steps must equal schedule.steps")
         if self.chunk_size != self.schedule.chunk_size:
             raise InvalidDistributionError("chunk_size must match the schedule")
         if not (self.beta >= 0.0 and np.isfinite(self.beta)):
             raise InvalidDistributionError(f"beta must be finite and >= 0, got {self.beta!r}")
+        if self.seed < 0:
+            raise InvalidDistributionError(f"seed must be >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from maskdiff import cli
 from maskdiff.cli import build_parser, main
 from maskdiff.dist import load_table
 from maskdiff.models import DiffusionMarginalModel, load_corpus
+from maskdiff.noising import make_schedule
 
 
 def run(argv: list[str]) -> int:
@@ -249,8 +250,11 @@ def _capture_settings(monkeypatch, seen: dict) -> None:
 
     def record_config(cfg):
         seen.update(mode=cfg.mode, steps=cfg.steps, beta=cfg.beta, seed=cfg.seed,
-                    chunk_size=cfg.chunk_size, family=cfg.schedule.family,
-                    epsilon=cfg.schedule.epsilon)
+                    chunk_size=cfg.chunk_size)
+
+    def recording_schedule(**kwargs):
+        seen.update(family=kwargs["family"], epsilon=kwargs["epsilon"])
+        return make_schedule(**kwargs)
 
     def fake_gen_data(spec):
         seen.update(dataclasses.asdict(spec))
@@ -280,7 +284,8 @@ def _capture_settings(monkeypatch, seen: dict) -> None:
 
     monkeypatch.setattr(cli, "gen_data", fake_gen_data)
     monkeypatch.setattr(cli, "sample_states", fake_sample_states)
-    monkeypatch.setattr(cli, "fit_counts_table", fake_fit)
+    monkeypatch.setattr(cli, "make_schedule", recording_schedule)
+    monkeypatch.setattr(cli.DiffusionMarginalModel, "from_corpus", fake_fit)
     monkeypatch.setattr(cli, "sample", fake_sample)
     monkeypatch.setattr(cli, "induced_distribution", fake_induced)
     monkeypatch.setattr(cli, "run_sweep", fake_sweep)
@@ -459,6 +464,35 @@ def test_negative_count_is_exit_2(tmp_path, data_file, capsys):
     # a count of 0 is a count
     assert run(out + ["sample", "--data", str(data_file), "--num-samples", "0"]) == 0
     assert run(out + ["fit", "--sample-from", str(data_file), "--corpus-size", "0"]) == 0
+
+
+def test_negative_seed_is_exit_2(tmp_path, data_file, capsys):
+    out = ["--out-dir", str(tmp_path)]
+    commands = (["gen-data"], ["sample", "--data", str(data_file)],
+                ["fit", "--sample-from", str(data_file)])
+    for argv in commands:
+        with pytest.raises(SystemExit) as exc:
+            main(["--seed", "-1"] + out + argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith("maskdiff: error: argument --seed: invalid count value: '-1'\n")
+        assert err.count("error:") == 1 and "Traceback" not in err
+    ini = tmp_path / "run.ini"
+    for section, argv in (("data", commands[0]), ("sampler", commands[1]), ("data", commands[2])):
+        ini.write_text(f"[{section}]\nseed = -1\n")
+        assert run(out + ["--config", str(ini)] + argv) == 2, argv
+        assert _one_line_error(capsys), argv
+    assert not list(tmp_path.glob("*.txt")) and not (tmp_path / "model.json").exists()
+
+
+@pytest.mark.parametrize("smoothing", ["-1", "nan", "inf", "1e308"])
+def test_bad_smoothing_is_exit_2_before_any_write(tmp_path, data_file, capsys, smoothing):
+    assert run(["--out-dir", str(tmp_path), "fit", "--sample-from", str(data_file),
+                "--smoothing", smoothing]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: smoothing") and "Traceback" not in captured.err
+    assert not (tmp_path / "corpus.txt").exists() and not (tmp_path / "model.json").exists()
 
 
 def test_zero_samples_write_an_empty_file(tmp_path, data_file):

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from maskdiff import dist
+from maskdiff import dist, harness
 from maskdiff.dist import (
     JointTable,
     MarginalSet,
@@ -102,6 +102,11 @@ def test_gen_data_rejects_unknown_kind_and_bad_strength():
         SyntheticSpec("mystery", 2, 2)
     with pytest.raises(InvalidDistributionError):
         SyntheticSpec("markov_chain", 2, 2, 1.5)
+
+
+def test_synthetic_spec_rejects_negative_seed():
+    with pytest.raises(InvalidDistributionError, match="seed must be >= 0"):
+        SyntheticSpec("markov_chain", 2, 2, 0.5, seed=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +349,24 @@ def test_sweep_without_a_needed_model_raises():
     dm, _ = exact_models(correlated_pair())
     with pytest.raises(InvalidDistributionError, match="requires a copula"):
         run_sweep(correlated_pair(), dm, None, ["dcd"], [1, 2], [1.0])
+
+
+def test_sweep_checks_every_cell_before_computing_a_bound(monkeypatch):
+    def no_bound(data, sched):
+        raise AssertionError("elbo_bound called before every cell was checked")
+
+    monkeypatch.setattr(harness, "elbo_bound", no_bound)
+    big = gen_data(SyntheticSpec("markov_chain", 5, 3, 0.8, seed=2))
+    dm, cop = exact_models(big)
+    with pytest.raises(CapExceededError, match=r"\(C\+1\)\^N \* T = 40960 "):
+        run_sweep(big, dm, cop, ["ar_only", "dcd"], [1, 40], [1.0])
+    pair = correlated_pair()
+    with pytest.raises(InvalidDistributionError, match="requires a copula"):
+        run_sweep(pair, exact_models(pair)[0], None, ["diffusion_only", "dcd"], [1, 2], [1.0])
+    # ar_only cells stay exempt from the cap
+    monkeypatch.setattr(harness, "elbo_bound", lambda data, sched: 0.0)
+    [row] = run_sweep(big, None, cop, ["ar_only"], [40], [1.0])
+    assert row.kl_to_data == pytest.approx(0.0, abs=1e-12)
 
 
 def test_induced_monte_carlo_agrees_with_exact_within_3_sigma():

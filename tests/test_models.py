@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -346,6 +347,12 @@ def test_fit_counts_with_tiny_smoothing_keeps_its_near_zeros():
     alphabet = Alphabet(2, 2)
     table = fit_counts_table(np.array([[0, 1], [1, 0]]), alphabet, smoothing=1e-15)
     assert table.prob((0, 1)) == pytest.approx(0.5) and 0.0 < table.prob((0, 0)) < 1e-12
+
+
+@pytest.mark.parametrize("smoothing", [-1.0, math.nan, math.inf, 1e308])
+def test_fit_counts_rejects_smoothing_that_is_not_a_finite_mass(smoothing):
+    with pytest.raises(InvalidDistributionError, match="smoothing"):
+        fit_counts_table(np.array([[0, 1], [1, 0]]), Alphabet(2, 2), smoothing)
 
 
 def test_models_need_a_position():

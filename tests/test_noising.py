@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
@@ -30,7 +28,6 @@ from maskdiff.noising import (
     SequenceState,
     aux_posterior,
     brute_reverse_posterior,
-    forward_sample,
     forward_state_distribution,
     make_schedule,
     positive_options,
@@ -72,12 +69,12 @@ def test_schedule_monotone_for_many_steps():
 
 def test_non_monotone_alphas_rejected():
     with pytest.raises(ScheduleError):
-        NoiseSchedule("linear", 1e-3, (0.8, 0.5))
+        NoiseSchedule((0.8, 0.5))
     with pytest.raises(ScheduleError):
-        NoiseSchedule("linear", 1e-3, (0.5, 0.9))  # final != 1
+        NoiseSchedule((0.5, 0.9))  # final != 1
     with pytest.raises(ScheduleError):
-        NoiseSchedule("linear", 1e-3, ())
-    assert NoiseSchedule("linear", 1e-3, (0.5, 1.0)).steps == 2
+        NoiseSchedule(())
+    assert NoiseSchedule((0.5, 1.0)).steps == 2
 
 
 def test_alpha_and_ratios():
@@ -88,59 +85,6 @@ def test_alpha_and_ratios():
     assert sched.step_mask_prob(3) == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(ScheduleError):
         sched.alpha(5)
-
-
-# ---------------------------------------------------------------------------
-# forward process
-# ---------------------------------------------------------------------------
-
-def test_forward_sample_final_step_all_mask():
-    alphabet = Alphabet(3, 2)
-    sched = make_schedule("linear", 2)
-    rng = np.random.default_rng(0)
-    x0 = SequenceState.from_data((0, 1, 0), alphabet)
-    out = forward_sample(x0, 2, sched, rng)
-    assert out.tokens == (2, 2, 2) and out.time == 2
-
-
-def test_forward_sample_empirical_mask_rate():
-    alphabet = Alphabet(2, 2)
-    sched = make_schedule("linear", 2)  # alpha_1 = 0.5
-    rng = np.random.default_rng(42)
-    draws = 100_000
-    masked = 0
-    for _ in range(draws):
-        out = forward_sample(SequenceState.from_data((0, 1), alphabet), 1, sched, rng)
-        masked += sum(tok == alphabet.mask_index for tok in out.tokens)
-    rate = masked / (2 * draws)
-    sigma = math.sqrt(0.25 / (2 * draws))
-    assert abs(rate - 0.5) < 3 * sigma
-
-
-def test_forward_sample_positions_independent():
-    alphabet = Alphabet(2, 2)
-    sched = make_schedule("linear", 2)
-    rng = np.random.default_rng(43)
-    draws = 100_000
-    a = np.empty(draws)
-    b = np.empty(draws)
-    for k in range(draws):
-        out = forward_sample(SequenceState.from_data((0, 1), alphabet), 1, sched, rng)
-        a[k] = out.tokens[0] == alphabet.mask_index
-        b[k] = out.tokens[1] == alphabet.mask_index
-    corr = np.corrcoef(a, b)[0, 1]
-    assert abs(corr) < 3 / math.sqrt(draws)
-
-
-def test_forward_sample_chunked_masks_whole_chunks():
-    alphabet = Alphabet(4, 2)
-    sched = make_schedule("linear", 2, chunk_size=2)
-    rng = np.random.default_rng(44)
-    for _ in range(200):
-        out = forward_sample(SequenceState.from_data((0, 1, 0, 1), alphabet), 1, sched, rng)
-        mask = alphabet.mask_index
-        assert (out.tokens[0] == mask) == (out.tokens[1] == mask)
-        assert (out.tokens[2] == mask) == (out.tokens[3] == mask)
 
 
 # ---------------------------------------------------------------------------

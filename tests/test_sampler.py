@@ -452,6 +452,11 @@ def test_beta_must_be_finite_and_non_negative(beta):
         config("dcd", 2, beta=beta)
 
 
+def test_negative_seed_rejected():
+    with pytest.raises(InvalidDistributionError, match="seed must be >= 0"):
+        config("dcd", 2, seed=-1)
+
+
 def test_invalid_mode_and_mismatched_schedule_rejected():
     sched = make_schedule("linear", 2)
     with pytest.raises(Exception):
