@@ -19,7 +19,6 @@ from .dist import (
     product_table,
     same_copula,
     save_table,
-    total_correlation,
     total_variation,
     univariate_marginals,
 )

@@ -33,12 +33,12 @@ from .dist import (
     Alphabet,
     JointTable,
     MarginalSet,
+    along_axis,
     entropy,
     format_float_short,
     kl,
     product_table,
     state_to_index,
-    total_correlation,
     total_variation,
     univariate_marginals,
 )
@@ -54,6 +54,7 @@ from .models import (
 from .noising import (
     NoiseSchedule,
     SequenceState,
+    chunk_groups,
     forward_state_distribution,
     make_schedule,
     posterior_from_prior,
@@ -158,11 +159,72 @@ def _posteriors(
 
 
 def elbo_bound(data: JointTable, sched: NoiseSchedule) -> float:
-    """H(data) + sum_{t=1..T} E_{x_t}[TC(q(X_{t-1} | x_t))], exactly."""
+    """H(data) + sum_{t=1..T} E_{x_t}[TC(q(X_{t-1} | x_t))], exactly. The
+    reachable x_t that share a chunk mask pattern differ only in their
+    unmasked tokens, so one tensor pass per (t, pattern) takes the TC of
+    all their posteriors (`_pattern_tc`). Each live x_t (q(x_t) > 0) fails
+    as `posterior_from_prior` and `total_correlation` would fail on it, and
+    the first failing state in (t, table) order names the error."""
+    groups = chunk_groups(data.num_positions, sched.chunk_size)
     total = entropy(data)
-    for _, weight, post in _posteriors(data, sched):
-        total += weight * total_correlation(post)
+    prior = forward_state_distribution(data, 0, sched).tensor()
+    for t in range(1, sched.steps + 1):
+        qt = forward_state_distribution(data, t, sched).tensor()
+        c = qt.shape[0] - 1
+        faults = np.zeros(qt.shape, dtype=np.int8)
+        for pattern in itertools.product((False, True), repeat=len(groups)):
+            chunks = [group for group, m in zip(groups, pattern) if m]
+            masked = tuple(m for group, m in zip(groups, pattern) for _ in group)
+            here = tuple(c if m else slice(0, c) for m in masked)
+            weight = qt[here].reshape(tuple(1 if m else c for m in masked))
+            if not np.any(weight > 0.0):
+                continue
+            src = tuple(slice(None) if m else slice(0, c) for m in masked)
+            tc, fault = _pattern_tc(prior[src], chunks, sched.step_mask_prob(t - 1))
+            faults[here] = (fault * (weight > 0.0)).reshape(faults[here].shape)
+            total += float(np.sum(weight * tc))
+        if faults.any():
+            error, message = _BOUND_FAULTS[int(faults.flat[np.flatnonzero(faults)[0]])]
+            raise error(message)
+        prior = qt
     return total
+
+
+_BOUND_FAULTS = {
+    1: (SupportError, "x_t is unreachable under the forward process"),
+    2: (SupportError, "a reverse posterior's marginal product vanishes on its support"),
+    3: (InvalidDistributionError, "a reverse posterior's TC is below rounding slack"),
+}
+
+
+def _pattern_tc(
+    p: np.ndarray, chunks: Sequence[tuple[int, ...]], step: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """TC(q(X_{t-1} | x_t)) for every x_t of one mask pattern, with a fault
+    code per state (0 none, else a key of `_BOUND_FAULTS`). p is q(X_{t-1})
+    with all C+1 values on the masked chunks' axes and the states' tokens
+    on the others; the results have 1 on the masked axes. Each masked chunk
+    weighs its sources 1 (all MASK), step (all content) or 0 (mixed); each
+    unmasked chunk weighs every state by 1 - step, which normalizing
+    cancels. An unmasked position is a point mass and adds no TC."""
+    for chunk in chunks:
+        block = np.zeros((p.shape[chunk[0]],) * len(chunk))
+        block[(-1,) * len(chunk)] = 1.0
+        block[(slice(0, -1),) * len(chunk)] = step
+        p = p * along_axis(block, chunk[-1], p.ndim)
+    axes = tuple(i for chunk in chunks for i in chunk)
+    z = p.sum(axis=axes, keepdims=True)
+    post = np.divide(p, z, out=np.zeros_like(p), where=z > 0.0)
+    product = np.ones(())
+    for i in axes:
+        product = product * post.sum(axis=tuple(j for j in axes if j != i), keepdims=True)
+    covered = (post > 0.0) & (product > 0.0)
+    logs = np.log(np.where(covered, post, 1.0)) - np.log(np.where(covered, product, 1.0))
+    tc = np.sum(np.where(covered, post * logs, 0.0), axis=axes, keepdims=True)
+    fault = np.where(tc < -1e-9, 3, 0).astype(np.int8)
+    fault[np.any((post > 0.0) & ~covered, axis=axes, keepdims=True)] = 2
+    fault[z <= 0.0] = 1
+    return np.maximum(tc, 0.0), fault
 
 
 DenoiserRows = Callable[[SequenceState], MarginalSet]

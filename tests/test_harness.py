@@ -8,8 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from maskdiff import dist, harness
+from maskdiff import dist, harness, noising
 from maskdiff.dist import (
+    Alphabet,
     JointTable,
     MarginalSet,
     entropy,
@@ -19,7 +20,7 @@ from maskdiff.dist import (
     total_correlation,
     univariate_marginals,
 )
-from maskdiff.errors import CapExceededError, InvalidDistributionError, ScheduleError
+from maskdiff.errors import CapExceededError, InvalidDistributionError, MaskDiffError, ScheduleError
 from maskdiff.harness import (
     CSV_HEADER,
     SyntheticSpec,
@@ -45,7 +46,7 @@ from maskdiff.noising import (
 )
 from maskdiff.sampler import SamplerConfig
 
-from _helpers import random_rows, random_table
+from _helpers import random_rows, random_table, zero_table
 
 
 def correlated_pair(strength: float = 0.95) -> JointTable:
@@ -198,7 +199,9 @@ def _trajectory_nelbo(data, sched, denoiser) -> float:
 
 def _per_state_bounds(data: JointTable, sched) -> tuple[float, float]:
     """The bound and the optimal denoiser's negative ELBO, summed as H(data)
-    then per reachable x_t, each from its own brute_reverse_posterior."""
+    then per reachable x_t, each from its own brute_reverse_posterior: the
+    per-state path `elbo_bound`'s per-pattern pass replaced, kept as its
+    oracle."""
     bound = nelbo = entropy(data)
     for t in range(1, sched.steps + 1):
         for x_t, weight in reachable_states(data, t, sched):
@@ -217,7 +220,7 @@ def test_bound_and_optimal_nelbo_equal_the_per_state_sum_bit_for_bit(family, chu
                  gen_data(SyntheticSpec("correlated_phrases", 3, 2, 1.0))):  # has zeros
         sched = make_schedule(family, 3, chunk_size=chunk_size)
         bound, nelbo = _per_state_bounds(data, sched)
-        assert elbo_bound(data, sched) == bound
+        assert within_golden(elbo_bound(data, sched), bound)  # the NELBO stays per-state
         assert nelbo_factorized(data, sched, optimal_factorized_denoiser(data, sched)) == nelbo
 
 
@@ -236,11 +239,86 @@ def test_bounds_build_each_forward_marginal_once(monkeypatch):
         return real(data, t, sched)
 
     monkeypatch.setattr(harness, "forward_state_distribution", counting)
-    assert elbo_bound(data, sched) == bound
+    assert within_golden(elbo_bound(data, sched), bound)
     assert calls == [0, 1, 2, 3, 4]
     calls.clear()
     assert nelbo_factorized(data, sched, denoiser) == nelbo
     assert calls == [0, 1, 2, 3, 4]
+
+
+def within_golden(new: float, old: float) -> bool:
+    """ROADMAP's golden rule for reordered arithmetic."""
+    return abs(new - old) <= max(1e-13 * abs(old), 1e-15)
+
+
+def bound_outcome(call):
+    """The bound a call returns, or the class name of the MaskDiffError it raises."""
+    try:
+        return call()
+    except MaskDiffError as exc:
+        return type(exc).__name__
+
+
+def assert_bound_matches_per_state(data: JointTable, sched) -> str | None:
+    dense = bound_outcome(lambda: elbo_bound(data, sched))
+    oracle = bound_outcome(lambda: _per_state_bounds(data, sched)[0])
+    if isinstance(oracle, str):
+        assert dense == oracle
+        return oracle
+    assert not isinstance(dense, str), dense
+    assert within_golden(dense, oracle), (dense, oracle)
+    return None
+
+
+BOUND_SHAPES = ((2, 2), (3, 3), (4, 3), (5, 2))
+
+
+@pytest.mark.parametrize("family", ["linear", "log-linear"])
+@pytest.mark.parametrize("chunk_size", [1, 2, 3])
+@pytest.mark.parametrize("n, c", BOUND_SHAPES)
+def test_per_pattern_bound_matches_the_per_state_sum(n, c, chunk_size, family):
+    data = gen_data(SyntheticSpec("markov_chain", n, c, 0.8, seed=n * c))
+    sched = make_schedule(family, 3, chunk_size=chunk_size)
+    assert assert_bound_matches_per_state(data, sched) is None
+
+
+def test_per_pattern_bound_matches_the_per_state_sum_on_tables_with_zeros():
+    rng = np.random.default_rng(134)
+    for k in range(60):
+        n, c = BOUND_SHAPES[k % len(BOUND_SHAPES)]
+        chunk_size = 1 + k // len(BOUND_SHAPES) % 3
+        family = ("linear", "log-linear")[k // 12 % 2]
+        sched = make_schedule(family, int(rng.integers(1, 4)), chunk_size=chunk_size)
+        assert assert_bound_matches_per_state(zero_table(rng, n, c), sched) is None, k
+
+
+def test_per_pattern_bound_fails_like_the_per_state_sum_on_underflow():
+    # every entry but the last is 1e-300 or 0, so a posterior's marginal
+    # product underflows to 0 on its support
+    rng = np.random.default_rng(135)
+    probs = zero_table(rng, 3, 3).probs * 1e-300
+    probs[-1] = 1.0 - probs[:-1].sum()
+    data = JointTable(Alphabet(3, 3), probs)
+    seen = [assert_bound_matches_per_state(data, make_schedule(family, steps, chunk_size=chunk))
+            for family in ("linear", "log-linear") for steps in (1, 2, 3) for chunk in (1, 2, 3)]
+    assert "SupportError" in seen
+
+
+def test_bound_makes_no_per_state_posterior(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("elbo_bound built a per-state posterior or TC")
+
+    originals = (noising.posterior_from_prior, dist.total_correlation)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "maskdiff":
+            continue
+        for attr, original in (("posterior_from_prior", originals[0]),
+                               ("total_correlation", originals[1])):
+            if getattr(module, attr, None) is original:
+                monkeypatch.setattr(module, attr, refuse)
+    data = random_table(np.random.default_rng(136), 3, 3)
+    for chunk_size in (1, 2):
+        elbo_bound(data, make_schedule("linear", 3, chunk_size=chunk_size))
 
 
 def test_table_kernels_never_build_the_index_array(monkeypatch):
