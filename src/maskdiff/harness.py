@@ -283,16 +283,23 @@ def induced_distribution(
     pattern): see `_dense_law`. Beyond the enumeration cap a Monte Carlo
     estimate is returned when mc_samples is given, else CapExceededError."""
     alphabet = check_models(dm, copula, cfg.mode)
+    if cfg.mode != MODE_AR_ONLY:
+        try:
+            _check_exact_cap(alphabet, cfg.steps)
+        except CapExceededError:
+            if mc_samples is None:
+                raise
+            return _induced_monte_carlo(dm, copula, cfg, alphabet, mc_samples, rng)
+    return _induced_exact(_PatternRows(dm, copula, cfg.mode), cfg)
+
+
+def _induced_exact(rows: "_PatternRows", cfg: SamplerConfig) -> InducedResult:
+    """The exact induced law of a checked cfg, from `rows` (built for
+    cfg.mode over the same models)."""
     if cfg.mode == MODE_AR_ONLY:
-        return InducedResult(ar_chain_table(copula), "exact")
-    try:
-        _check_exact_cap(alphabet, cfg.steps)
-    except CapExceededError:
-        if mc_samples is None:
-            raise
-        return _induced_monte_carlo(dm, copula, cfg, alphabet, mc_samples, rng)
-    probs = _dense_law(dm, copula, cfg, alphabet)
-    return InducedResult(JointTable(alphabet, probs.ravel()), "exact")
+        return InducedResult(ar_chain_table(rows.copula), "exact")
+    probs = _dense_law(rows, cfg)
+    return InducedResult(JointTable(rows.dm.alphabet, probs.ravel()), "exact")
 
 
 def _check_exact_cap(alphabet: Alphabet, steps: int) -> None:
@@ -307,12 +314,7 @@ def _check_exact_cap(alphabet: Alphabet, steps: int) -> None:
         )
 
 
-def _dense_law(
-    dm: DiffusionMarginalModel,
-    copula: ARCopulaModel | None,
-    cfg: SamplerConfig,
-    alphabet: Alphabet,
-) -> np.ndarray:
+def _dense_law(rows: "_PatternRows", cfg: SamplerConfig) -> np.ndarray:
     """The final-sequence law as a (C,)*N tensor. The weights of the states
     at each time form a (C+1,)*N tensor, with a boolean twin that marks the
     states the per-state enumeration would visit: a path whose weight
@@ -322,11 +324,11 @@ def _dense_law(
     in left-to-right order (as tensors over the clamped and drawn axes),
     applies each masked chunk's keep/re-mask factor and adds the result
     into the next time's tensor."""
+    alphabet = rows.dm.alphabet
     n, c = alphabet.num_positions, alphabet.num_categories
     weights = np.zeros((c + 1,) * n, dtype=np.float64)
     weights[(c,) * n] = 1.0
     present = weights > 0.0
-    rows = _PatternRows(dm, copula, cfg)
     for time in range(cfg.steps, 0, -1):
         nxt, reached = np.zeros_like(weights), np.zeros_like(present)
         for masked in itertools.product((False, True), repeat=n):
@@ -343,7 +345,7 @@ def _dense_law(
             for i in x_next.masked_positions:
                 if i >= fill:
                     break
-                row, ok = rows.row(masked, i)
+                row, ok = rows.row(masked, i, cfg.beta)
                 if np.any(p & ~ok):
                     raise SupportError(f"fused row at position {i} has no mass")
                 w, p = w * row, p & (row > 0.0)
@@ -380,15 +382,18 @@ def _remask(
 class _PatternRows:
     """The content layer's rows for every state of a mask pattern, as N-axis
     tensors with the row along the drawn position's axis. No row depends on
-    time, so each is built once per pattern and position for a whole
-    evaluation."""
+    time, and only the fused rows depend on beta, so one object serves
+    every (T, beta) cell of a mode: the marginal rows, the copula rows, V
+    and the evidence are built once per pattern and position, the fused
+    rows once per beta as well."""
 
-    def __init__(self, dm: DiffusionMarginalModel, copula: ARCopulaModel | None,
-                 cfg: SamplerConfig) -> None:
-        self.dm, self.copula, self.beta = dm, copula, cfg.beta
-        self.fused = cfg.mode != MODE_DIFFUSION_ONLY
+    def __init__(self, dm: DiffusionMarginalModel | None, copula: ARCopulaModel | None,
+                 mode: str) -> None:
+        self.dm, self.copula = dm, copula
+        self.fused = mode != MODE_DIFFUSION_ONLY
         self._evidence: dict[tuple[bool, ...], np.ndarray] = {}
-        self._rows: dict[tuple[tuple[bool, ...], int], tuple[np.ndarray, np.ndarray]] = {}
+        self._parts: dict[tuple[tuple[bool, ...], int], tuple[np.ndarray, ...]] = {}
+        self._rows: dict[tuple[tuple[bool, ...], int, float], tuple[np.ndarray, np.ndarray]] = {}
 
     def evidence(self, masked: tuple[bool, ...]) -> np.ndarray:
         """Whether each state's unmasked tokens have mass under the marginal
@@ -398,22 +403,29 @@ class _PatternRows:
             self._evidence[masked] = self.dm.table.tensor().sum(axis=axes, keepdims=True) > 0.0
         return self._evidence[masked]
 
-    def row(self, masked: tuple[bool, ...], i: int) -> tuple[np.ndarray, np.ndarray]:
-        """(rows at masked position i, where those rows have mass)."""
-        if (masked, i) not in self._rows:
-            self._rows[masked, i] = self._build(masked, i)
-        return self._rows[masked, i]
-
-    def _build(self, masked: tuple[bool, ...], i: int) -> tuple[np.ndarray, np.ndarray]:
-        full = pattern_rows(self.dm, masked, i)
+    def row(self, masked: tuple[bool, ...], i: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
+        """(rows at masked position i under beta, where those rows have mass)."""
+        if (masked, i) not in self._parts:
+            self._parts[masked, i] = self._beta_free(masked, i)
         if not self.fused:  # the evidence check already covers these rows
-            return full, np.True_
+            return self._parts[masked, i][0], np.True_
+        if (masked, i, beta) not in self._rows:
+            cond, v = self._parts[masked, i]
+            weights = fused_weights(cond, v, beta)
+            total = weights.sum(axis=-1, keepdims=True)
+            fused = np.divide(weights, total, out=np.zeros_like(weights), where=total > 0.0)
+            self._rows[masked, i, beta] = np.moveaxis(fused, -1, i), np.moveaxis(total > 0.0, -1, i)
+        return self._rows[masked, i, beta]
+
+    def _beta_free(self, masked: tuple[bool, ...], i: int) -> tuple[np.ndarray, ...]:
+        """(the marginal rows,) unfused; (copula rows, V) with the row on the
+        last axis when fused."""
+        full = pattern_rows(self.dm, masked, i)
+        if not self.fused:
+            return (full,)
         v = rankwise_update(*np.broadcast_arrays(full, pattern_rows(self.dm, masked, i, causal=True)))
         cond = pattern_rows(self.copula, (False,) * len(masked), i, causal=True)
-        weights = fused_weights(np.moveaxis(cond, i, -1), np.moveaxis(v, i, -1), self.beta)
-        total = weights.sum(axis=-1, keepdims=True)
-        fused = np.divide(weights, total, out=np.zeros_like(weights), where=total > 0.0)
-        return np.moveaxis(fused, -1, i), np.moveaxis(total > 0.0, -1, i)
+        return np.moveaxis(cond, i, -1), np.moveaxis(v, i, -1)
 
 
 def _induced_monte_carlo(
@@ -547,12 +559,13 @@ def run_sweep(
             if mode != MODE_AR_ONLY:
                 _check_exact_cap(alphabet, steps)
     bound_cache: dict[int, float] = {}
+    rows = {mode: _PatternRows(dm, copula, mode) for mode in modes}
     results: list[ExperimentResult] = []
     for cfg in cells:
         if cfg.steps not in bound_cache:
             bound_cache[cfg.steps] = elbo_bound(data, cfg.schedule)
         start = time.perf_counter()
-        induced = induced_distribution(dm, copula, cfg)
+        induced = _induced_exact(rows[cfg.mode], cfg)
         wall = (time.perf_counter() - start) * 1000.0
         results.append(
             ExperimentResult(
