@@ -214,6 +214,7 @@ def cmd_fit(args: argparse.Namespace, cfg: dict) -> int:
     model = DiffusionMarginalModel.from_corpus(seqs, alphabet, smoothing)
     if args.sample_from:
         corpus_path = Path(args.out_dir) / "corpus.txt"
+        corpus_path.parent.mkdir(parents=True, exist_ok=True)
         save_corpus(seqs, corpus_path)
         print(f"wrote {corpus_path} ({args.corpus_size} sequences)")
     model.save(out)
@@ -235,6 +236,8 @@ def cmd_sample(args: argparse.Namespace, cfg: dict) -> int:
             traces.append(f"# sample {k}\n" + trace.dumps())
     out = Path(args.out) if args.out else Path(args.out_dir) / "samples.txt"
     out.parent.mkdir(parents=True, exist_ok=True)
+    if args.trace:
+        Path(args.trace).parent.mkdir(parents=True, exist_ok=True)
     out.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
     print(f"wrote {out} ({num} samples, mode={scfg.mode}, T={scfg.steps})")
     if args.trace:

@@ -507,3 +507,19 @@ def test_fit_with_tiny_smoothing(tmp_path):
     corpus.write_text("0 1\n1 0\n")
     assert run(["fit", "--corpus", str(corpus), "--num-categories", "2",
                 "--smoothing", "1e-15", "--out", str(tmp_path / "m.json")]) == 0
+
+
+def test_sample_trace_into_a_missing_directory(tmp_path, data_file):
+    trace = tmp_path / "missing" / "deeper" / "tr.txt"
+    assert run(["--out-dir", str(tmp_path), "sample", "--data", str(data_file),
+                "--num-samples", "2", "--trace", str(trace)]) == 0
+    assert trace.read_text(encoding="utf-8").count("# sample ") == 2
+    assert (tmp_path / "samples.txt").read_text(encoding="utf-8").count("\n") == 2
+
+
+def test_fit_sample_from_into_a_missing_out_dir(tmp_path, data_file):
+    out_dir = tmp_path / "missing"
+    assert run(["--out-dir", str(out_dir), "fit", "--sample-from", str(data_file),
+                "--corpus-size", "10", "--out", str(tmp_path / "m.json")]) == 0
+    assert load_corpus(out_dir / "corpus.txt").shape == (10, 2)
+    assert DiffusionMarginalModel.load(tmp_path / "m.json").kind == "counts"
