@@ -177,11 +177,12 @@ def elbo_bound(data: JointTable, sched: NoiseSchedule) -> float:
             masked = tuple(m for group, m in zip(groups, pattern) for _ in group)
             here = tuple(c if m else slice(0, c) for m in masked)
             weight = qt[here].reshape(tuple(1 if m else c for m in masked))
-            if not np.any(weight > 0.0):
+            live = weight > 0.0
+            if not live.any():
                 continue
             src = tuple(slice(None) if m else slice(0, c) for m in masked)
             tc, fault = _pattern_tc(prior[src], chunks, sched.step_mask_prob(t - 1))
-            faults[here] = (fault * (weight > 0.0)).reshape(faults[here].shape)
+            faults[here] = (fault * live).reshape(faults[here].shape)
             total += float(np.sum(weight * tc))
         if faults.any():
             error, message = _BOUND_FAULTS[int(faults.flat[np.flatnonzero(faults)[0]])]
@@ -293,7 +294,7 @@ def induced_distribution(
     return _induced_exact(_PatternRows(dm, copula, cfg.mode), cfg)
 
 
-def _induced_exact(rows: "_PatternRows", cfg: SamplerConfig) -> InducedResult:
+def _induced_exact(rows: _PatternRows, cfg: SamplerConfig) -> InducedResult:
     """The exact induced law of a checked cfg, from `rows` (built for
     cfg.mode over the same models)."""
     if cfg.mode == MODE_AR_ONLY:
@@ -314,7 +315,7 @@ def _check_exact_cap(alphabet: Alphabet, steps: int) -> None:
         )
 
 
-def _dense_law(rows: "_PatternRows", cfg: SamplerConfig) -> np.ndarray:
+def _dense_law(rows: _PatternRows, cfg: SamplerConfig) -> np.ndarray:
     """The final-sequence law as a (C,)*N tensor. The weights of the states
     at each time form a (C+1,)*N tensor, with a boolean twin that marks the
     states the per-state enumeration would visit: a path whose weight
