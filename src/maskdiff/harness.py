@@ -165,24 +165,24 @@ def elbo_bound(data: JointTable, sched: NoiseSchedule) -> float:
     all their posteriors (`_pattern_tc`). Each live x_t (q(x_t) > 0) fails
     as `posterior_from_prior` and `total_correlation` would fail on it, and
     the first failing state in (t, table) order names the error."""
+    c = data.num_categories
     groups = chunk_groups(data.num_positions, sched.chunk_size)
     total = entropy(data)
     prior = forward_state_distribution(data, 0, sched).tensor()
     for t in range(1, sched.steps + 1):
         qt = forward_state_distribution(data, t, sched).tensor()
-        c = qt.shape[0] - 1
         faults = np.zeros(qt.shape, dtype=np.int8)
         for pattern in itertools.product((False, True), repeat=len(groups)):
             chunks = [group for group, m in zip(groups, pattern) if m]
             masked = tuple(m for group, m in zip(groups, pattern) for _ in group)
-            here = tuple(c if m else slice(0, c) for m in masked)
-            weight = qt[here].reshape(tuple(1 if m else c for m in masked))
+            here = tuple(slice(c, None) if m else slice(0, c) for m in masked)
+            weight = qt[here]
             live = weight > 0.0
             if not live.any():
                 continue
             src = tuple(slice(None) if m else slice(0, c) for m in masked)
             tc, fault = _pattern_tc(prior[src], chunks, sched.step_mask_prob(t - 1))
-            faults[here] = (fault * live).reshape(faults[here].shape)
+            faults[here] = fault * live
             total += float(np.sum(weight * tc))
         if faults.any():
             error, message = _BOUND_FAULTS[int(faults.flat[np.flatnonzero(faults)[0]])]
@@ -219,11 +219,12 @@ def _pattern_tc(
     product = np.ones(())
     for i in axes:
         product = product * post.sum(axis=tuple(j for j in axes if j != i), keepdims=True)
-    covered = (post > 0.0) & (product > 0.0)
+    support = post > 0.0
+    covered = support & (product > 0.0)
     logs = np.log(np.where(covered, post, 1.0)) - np.log(np.where(covered, product, 1.0))
     tc = np.sum(np.where(covered, post * logs, 0.0), axis=axes, keepdims=True)
     fault = np.where(tc < -1e-9, 3, 0).astype(np.int8)
-    fault[np.any((post > 0.0) & ~covered, axis=axes, keepdims=True)] = 2
+    fault[np.any(support & ~covered, axis=axes, keepdims=True)] = 2
     fault[z <= 0.0] = 1
     return np.maximum(tc, 0.0), fault
 

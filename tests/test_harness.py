@@ -212,6 +212,11 @@ def _per_state_bounds(data: JointTable, sched) -> tuple[float, float]:
     return bound, nelbo
 
 
+def within_golden(new: float, old: float) -> bool:
+    """ROADMAP's golden rule for reordered arithmetic."""
+    return abs(new - old) <= max(1e-13 * abs(old), 1e-15)
+
+
 @pytest.mark.parametrize("chunk_size", [1, 2])
 @pytest.mark.parametrize("family", ["linear", "log-linear"])
 def test_bound_and_optimal_nelbo_equal_the_per_state_sum_bit_for_bit(family, chunk_size):
@@ -244,11 +249,6 @@ def test_bounds_build_each_forward_marginal_once(monkeypatch):
     calls.clear()
     assert nelbo_factorized(data, sched, denoiser) == nelbo
     assert calls == [0, 1, 2, 3, 4]
-
-
-def within_golden(new: float, old: float) -> bool:
-    """ROADMAP's golden rule for reordered arithmetic."""
-    return abs(new - old) <= max(1e-13 * abs(old), 1e-15)
 
 
 def bound_outcome(call):
@@ -293,8 +293,8 @@ def test_per_pattern_bound_matches_the_per_state_sum_on_tables_with_zeros():
 
 
 def test_per_pattern_bound_fails_like_the_per_state_sum_on_underflow():
-    # every entry but the last is 1e-300 or 0, so a posterior's marginal
-    # product underflows to 0 on its support
+    # every entry but the last is 0 or of order 1e-300, so a posterior's
+    # marginal product underflows to 0 on its support
     rng = np.random.default_rng(135)
     probs = zero_table(rng, 3, 3).probs * 1e-300
     probs[-1] = 1.0 - probs[:-1].sum()
@@ -308,14 +308,13 @@ def test_bound_makes_no_per_state_posterior(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("elbo_bound built a per-state posterior or TC")
 
-    originals = (noising.posterior_from_prior, dist.total_correlation)
+    per_state = {"posterior_from_prior": noising.posterior_from_prior,
+                 "total_correlation": dist.total_correlation}
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] != "maskdiff":
-            continue
-        for attr, original in (("posterior_from_prior", originals[0]),
-                               ("total_correlation", originals[1])):
-            if getattr(module, attr, None) is original:
-                monkeypatch.setattr(module, attr, refuse)
+        if name.split(".")[0] == "maskdiff":
+            for attr, original in per_state.items():
+                if getattr(module, attr, None) is original:
+                    monkeypatch.setattr(module, attr, refuse)
     data = random_table(np.random.default_rng(136), 3, 3)
     for chunk_size in (1, 2):
         elbo_bound(data, make_schedule("linear", 3, chunk_size=chunk_size))
