@@ -8,10 +8,14 @@ per time and advanced one mask pattern at a time (every state that shares
 a pattern moves in one tensor pass), and quality is measured as
 KL(data || induced) plus the expected negative log-likelihood of generated
 sequences under the true data table. The step-count lower bound
-H(data) + sum_t E[TC(reverse posterior)] is evaluated exactly from the
-Bayes-rule posterior (one forward prior per step), as is the negative ELBO
-of any factorized denoiser, so the bound's equality case is checkable to
-rounding error.
+H(data) + sum_t E[TC(reverse posterior)] is evaluated exactly in the same
+shape: one tensor pass per step and chunk mask pattern takes the Bayes-rule
+posterior of every state with that pattern and its total correlation. The
+negative ELBO of a factorized denoiser, which may give each state any rows,
+is evaluated state by state from `posterior_from_prior` (one forward prior
+per step), so the bound's equality case is checked to rounding error by two
+independent paths. A sweep builds each mode's pattern rows once and shares
+them across its (T, beta) cells.
 
 Sweeps draw no samples: given their config they are deterministic and the
 CSV is byte-stable (wall-clock timings are opt-in and empty by default).
