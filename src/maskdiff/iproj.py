@@ -18,10 +18,10 @@ report holds the sweep count and the final marginal gap; the objective is
 evaluated only for an `on_sweep` observer. A plain gradient-descent solver
 of the same objective is provided as an independent cross-check.
 
-The production kernels keep the weights as the table's (C,)*N tensor: row
-V[i,:] is broadcast along axis i and a marginal is an axis sum. The descent
-solver walks the explicit `all_states` index array instead, so the two
-paths share no evaluation code.
+IPF never forms the reweighted table: with scale rows exp(V[i,:]), row i's
+unnormalized marginal is scale_i * (L_i @ R_i), L_i the table contracted with
+rows 0..i-1 and R_i the outer product of rows i+1..N-1. Descent walks the
+`all_states` index array with its own gap: the solvers share no evaluation code.
 
 Row rescalings leave every conditional odds ratio unchanged, so applying any
 V preserves the copula of p_est while moving its marginals.
@@ -34,19 +34,13 @@ by the sampler, which scales it by its config's beta when it draws.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable
 
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .dist import (
-    JointTable,
-    MarginalSet,
-    POSITIVITY_FLOOR,
-    all_states,
-    along_axis,
-    position_sum,
-)
+from .dist import JointTable, MarginalSet, POSITIVITY_FLOOR, all_states, position_sum
 from .errors import AlphabetMismatchError, InvalidDistributionError, PositivityError
 
 IPF_TOL = 1e-10
@@ -97,18 +91,29 @@ def _logsumexp(values: np.ndarray) -> float:
 
 def _check_shapes(p_est: JointTable, v: FactorMatrix) -> None:
     if v.values.shape != (p_est.num_positions, p_est.num_categories):
-        raise AlphabetMismatchError(
-            f"factor matrix shape {v.values.shape} does not match the table"
-        )
+        raise AlphabetMismatchError(f"factor matrix shape {v.values.shape} does not match the table")
 
 
 def _factor_sums(values: np.ndarray) -> np.ndarray:
-    """sum_i values[i, x_i] as a (C,)*N tensor."""
-    n, c = values.shape
-    total = np.zeros((c,) * n, dtype=np.float64)
+    """sum_i values[i, x_i] as a (C,)*N tensor, added left to right."""
+    return reduce(np.add.outer, values)
+
+
+def _contraction(tensor: np.ndarray, scales: np.ndarray, first: "np.ndarray | None" = None):
+    """Yield the unnormalized marginal rows i = 0..N-1 of tensor * prod_j
+    scales[j, x_j]. A caller may rewrite scales[i] once it has row i, and
+    later rows see the new row; `first`, when given, is yielded as row 0."""
+    n, c = scales.shape
+    rights = [np.ones(1)]  # rights[k]: outer product of the last k rows, flattened
+    for row in scales[:0 if first is None else 1:-1]:
+        rights.append(np.multiply.outer(row, rights[-1]).ravel())
+    left, marginal = tensor.reshape(-1), first
     for i in range(n):
-        total += along_axis(values[i], i, n)
-    return total
+        block = left.reshape(c, -1)
+        if i > 0 or first is None:
+            marginal = scales[i] * (block @ rights.pop())  # frees each product once used
+        yield marginal
+        left = scales[i] @ block
 
 
 def apply_factors(p_est: JointTable, v: FactorMatrix) -> tuple[JointTable, float]:
@@ -120,8 +125,7 @@ def apply_factors(p_est: JointTable, v: FactorMatrix) -> tuple[JointTable, float
         raise PositivityError("apply_factors requires a strictly positive table")
     log_w = np.log(p_est.tensor()) + _factor_sums(v.values)
     log_z = _logsumexp(log_w)
-    probs = np.exp(log_w - log_z)
-    return JointTable(p_est.alphabet, probs), log_z
+    return JointTable(p_est.alphabet, np.exp(log_w - log_z)), log_z
 
 
 def _check_target(p_est: JointTable, target: MarginalSet) -> None:
@@ -132,11 +136,14 @@ def _check_target(p_est: JointTable, target: MarginalSet) -> None:
 
 
 def objective(v: FactorMatrix, p_est: JointTable, target: MarginalSet) -> float:
-    """The convex objective at V."""
+    """The convex objective at V. Raises InvalidDistributionError on overflow."""
     _check_shapes(p_est, v)
     _check_target(p_est, target)
     log_w = np.log(np.maximum(p_est.tensor(), POSITIVITY_FLOOR)) + _factor_sums(v.values)
-    mass = float(np.exp(_logsumexp(log_w)))
+    with np.errstate(over="ignore"):
+        mass = float(np.exp(_logsumexp(log_w)))
+    if not np.isfinite(mass):
+        raise InvalidDistributionError("the objective overflows float64 at this V")
     return mass - float(np.sum(v.values * target.rows))
 
 
@@ -144,8 +151,11 @@ def objective_gradient(v: FactorMatrix, p_est: JointTable, target: MarginalSet) 
     """d L / d V[i,c] = unnormalized marginal of the rescaled table - target."""
     _check_shapes(p_est, v)
     _check_target(p_est, target)
-    w = p_est.tensor() * np.exp(_factor_sums(v.values))
-    return np.stack([position_sum(w, i) for i in range(v.num_positions)]) - target.rows
+    with np.errstate(over="ignore", invalid="ignore"):
+        marginals = np.stack(list(_contraction(p_est.tensor(), np.exp(v.values))))
+    if not np.all(np.isfinite(marginals)):
+        raise InvalidDistributionError("the objective gradient overflows float64 at this V")
+    return marginals - target.rows
 
 
 # ---------------------------------------------------------------------------
@@ -155,16 +165,6 @@ def objective_gradient(v: FactorMatrix, p_est: JointTable, target: MarginalSet) 
 def _floored_target(target: MarginalSet) -> np.ndarray:
     rows = np.maximum(target.rows, POSITIVITY_FLOOR)
     return rows / rows.sum(axis=1, keepdims=True)
-
-
-def _marginal_gap(w: np.ndarray, rows: np.ndarray) -> float:
-    """Largest distance from the normalized marginals of the weight tensor w
-    to the target rows."""
-    total = float(w.sum())
-    gap = 0.0
-    for i in range(rows.shape[0]):
-        gap = max(gap, float(np.max(np.abs(position_sum(w, i) / total - rows[i]))))
-    return gap
 
 
 def iproject_exact(
@@ -186,24 +186,27 @@ def iproject_exact(
     if p_est.probs.min() <= 0.0:
         raise PositivityError("iproject_exact requires a strictly positive p_est")
     rows = _floored_target(target)
-    n, c = rows.shape
-    values = np.zeros((n, c), dtype=np.float64)
-    w = p_est.tensor().copy()
-    iterations = 0
-    gap = _marginal_gap(w, rows)
-    target_set = MarginalSet(rows)
-    if on_sweep is not None:
-        on_sweep(0, gap, objective(FactorMatrix(values), p_est, target_set))
-    while gap > IPF_TOL and iterations < max_iter:
-        for i in range(n):
-            delta = np.log(rows[i]) - np.log(np.maximum(position_sum(w, i), POSITIVITY_FLOOR))
-            values[i] += delta
-            w *= along_axis(np.exp(delta), i, n)
-        iterations += 1
-        gap = _marginal_gap(w, rows)
+    tensor, target_set, iterations = p_est.tensor(), MarginalSet(rows), 0
+    values, scales = np.zeros(rows.shape), np.ones(rows.shape)
+    while True:
+        marginals = np.stack(list(_contraction(tensor, scales)))
+        gap = float(np.max(np.abs(marginals / marginals.sum(axis=1, keepdims=True) - rows)))
         if on_sweep is not None:
             on_sweep(iterations, gap, objective(FactorMatrix(values), p_est, target_set))
+        if not (gap > IPF_TOL and iterations < max_iter):
+            break
+        for i, marginal in enumerate(_contraction(tensor, scales, marginals[0])):
+            delta = np.log(rows[i]) - np.log(np.maximum(marginal, POSITIVITY_FLOOR))
+            values[i] += delta
+            scales[i] *= np.exp(delta)
+        iterations += 1
     return FactorMatrix(values).canonical(), IprojReport(iterations, gap, gap <= IPF_TOL)
+
+
+def _marginal_gap(w: np.ndarray, rows: np.ndarray) -> float:
+    """Largest distance from w's normalized axis-sum marginals to the rows (descent's own)."""
+    total = float(w.sum())
+    return max(float(np.max(np.abs(position_sum(w, i) / total - rows[i]))) for i in range(len(rows)))
 
 
 def iproject_descent(
@@ -227,9 +230,7 @@ def iproject_descent(
     def evaluate(values: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         w = np.exp(log_p + values[pos, states].sum(axis=1))
         obj = float(w.sum()) - float(np.sum(values * rows))
-        marg = np.stack(
-            [np.bincount(states[:, i], weights=w, minlength=c) for i in range(n)]
-        )
+        marg = np.stack([np.bincount(states[:, i], weights=w, minlength=c) for i in range(n)])
         return obj, marg - rows, w
 
     values = np.zeros((n, c), dtype=np.float64)
@@ -237,8 +238,7 @@ def iproject_descent(
     prev_values: np.ndarray | None = None
     prev_grad: np.ndarray | None = None
     recent = [obj]  # nonmonotone (Grippo) reference window
-    iterations = 0
-    converged = False
+    iterations, converged = 0, False
     for _ in range(max_iter):
         if float(np.max(np.abs(grad))) <= grad_tol:
             converged = True

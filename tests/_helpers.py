@@ -7,7 +7,16 @@ from collections import defaultdict
 
 import numpy as np
 
-from maskdiff.dist import Alphabet, JointTable, MarginalSet, state_to_index
+from maskdiff.dist import (
+    POSITIVITY_FLOOR,
+    Alphabet,
+    JointTable,
+    MarginalSet,
+    along_axis,
+    position_sum,
+    state_to_index,
+)
+from maskdiff.iproj import IPF_TOL, FactorMatrix, IprojReport
 from maskdiff.models import ARCopulaModel, DiffusionMarginalModel
 from maskdiff.noising import SequenceState
 from maskdiff.sampler import SamplerConfig, check_models, enumerate_step_distribution
@@ -62,3 +71,31 @@ def induced_by_enumeration(
     for state, weight in current.items():
         probs[state_to_index(alphabet, state.tokens)] += weight
     return JointTable(alphabet, probs)
+
+
+def ipf_by_explicit_weights(
+    p_est: JointTable, target: MarginalSet, max_iter: int = 10_000
+) -> tuple[FactorMatrix, IprojReport]:
+    """Cyclic IPF on the explicit reweighted table w = p_est * prod_i
+    exp(V[i, x_i]), kept as a (C,)*N tensor: each row update is a broadcast
+    multiply along its axis and each marginal an axis sum. The oracle for
+    `iproject_exact`'s contraction, with the same floors and stopping rule."""
+    rows = np.maximum(target.rows, POSITIVITY_FLOOR)
+    rows = rows / rows.sum(axis=1, keepdims=True)
+    n, c = rows.shape
+    values = np.zeros((n, c), dtype=np.float64)
+    w = p_est.tensor().copy()
+
+    def gap() -> float:
+        total = float(w.sum())
+        return max(float(np.max(np.abs(position_sum(w, i) / total - rows[i]))) for i in range(n))
+
+    iterations, current = 0, gap()
+    while current > IPF_TOL and iterations < max_iter:
+        for i in range(n):
+            delta = np.log(rows[i]) - np.log(np.maximum(position_sum(w, i), POSITIVITY_FLOOR))
+            values[i] += delta
+            w *= along_axis(np.exp(delta), i, n)
+        iterations += 1
+        current = gap()
+    return FactorMatrix(values).canonical(), IprojReport(iterations, current, current <= IPF_TOL)

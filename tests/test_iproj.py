@@ -12,13 +12,15 @@ from maskdiff.dist import (
     JointTable,
     MarginalSet,
     all_states,
+    along_axis,
     condition,
+    position_sum,
     product_table,
     same_copula,
     total_variation,
     univariate_marginals,
 )
-from maskdiff.errors import AlphabetMismatchError, PositivityError
+from maskdiff.errors import AlphabetMismatchError, InvalidDistributionError, PositivityError
 from maskdiff import iproj
 from maskdiff.iproj import (
     FactorMatrix,
@@ -33,7 +35,14 @@ from maskdiff.iproj import (
 from maskdiff.models import ARCopulaModel, DiffusionMarginalModel, dm_marginals_causal, dm_marginals_full
 from maskdiff.noising import SequenceState
 
-from _helpers import random_rows, random_table
+from _helpers import ipf_by_explicit_weights, random_rows, random_table
+
+
+def spread_table(rng: np.random.Generator, n: int, c: int, decades: float) -> JointTable:
+    """A positive table whose log10-entries are uniform over `decades` decades."""
+    log_p = -decades * np.log(10.0) * rng.random(c**n)
+    probs = np.exp(log_p - log_p.max())
+    return JointTable(Alphabet(n, c), probs / probs.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -84,9 +93,42 @@ def test_apply_reports_finite_log_z_where_z_overflows():
     np.testing.assert_allclose(out.probs, np.exp(log_w - log_z), rtol=0, atol=1e-12)
 
 
+def test_factor_sums_equal_the_broadcast_adds_bit_for_bit():
+    rng = np.random.default_rng(101)
+    for n in range(1, 11):
+        for c in (2, 3, 4):
+            values = rng.normal(0.0, 10.0, size=(n, c))
+            total = np.zeros((c,) * n)
+            for i in range(n):
+                total += along_axis(values[i], i, n)
+            assert np.array_equal(iproj._factor_sums(values), total)
+
+
 # ---------------------------------------------------------------------------
 # objective and gradient
 # ---------------------------------------------------------------------------
+
+def test_objective_and_gradient_raise_on_overflow():
+    p = JointTable(Alphabet(2, 2), np.full(4, 0.25))
+    target = MarginalSet(np.full((2, 2), 0.5))
+    v = FactorMatrix([[800.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(InvalidDistributionError, match="overflow"):
+        objective(v, p, target)
+    with pytest.raises(InvalidDistributionError, match="overflow"):
+        objective_gradient(v, p, target)
+
+
+def test_contraction_marginals_equal_axis_sums_of_the_explicit_product():
+    rng = np.random.default_rng(102)
+    for n in range(1, 9):
+        for c in (2, 3, 4):
+            for decades in (1, 50, 150, 300):
+                tensor = spread_table(rng, n, c, decades).tensor()
+                scales = np.exp(rng.normal(0.0, 3.0, size=(n, c)))
+                w = tensor * np.exp(iproj._factor_sums(np.log(scales)))
+                explicit = np.stack([position_sum(w, i) for i in range(n)])
+                contracted = np.stack(list(iproj._contraction(tensor, scales)))
+                np.testing.assert_allclose(contracted, explicit, rtol=1e-13, atol=0)
 
 def test_objective_at_zero_is_one():
     rng = np.random.default_rng(84)
@@ -177,6 +219,32 @@ def test_projection_matches_descent_oracle():
         ph_gd, _ = apply_factors(p, v_gd)
         assert r_ipf.converged
         assert total_variation(ph_ipf, ph_gd) < 1e-6
+
+
+def test_ipf_matches_the_explicit_weight_oracle():
+    """The contraction against IPF on the explicit (C,)*N weight tensor, on
+    tables spread over up to 300 decades and targets with a zero entry (which
+    meet the floor). Both stop after at most 50 sweeps, which keeps the
+    explicit oracle fast at (8, 4): a capped case compares 50 sweeps of each,
+    and 41 of the 96 cases converge before the cap."""
+    rng = np.random.default_rng(103)
+    converged = 0
+    for n in range(1, 9):
+        for c in (2, 3, 4):
+            for k, decades in enumerate((1, 50, 150, 300)):
+                p = spread_table(rng, n, c, decades)
+                rows = rng.dirichlet(np.ones(c), size=n)
+                if k % 2:
+                    rows[rng.integers(n), rng.integers(c)] = 0.0
+                    rows /= rows.sum(axis=1, keepdims=True)
+                target = MarginalSet(rows)
+                v, report = iproject_exact(p, target, max_iter=50)
+                v_old, old = ipf_by_explicit_weights(p, target, max_iter=50)
+                assert (report.iterations, report.converged) == (old.iterations, old.converged)
+                assert np.max(np.abs(v.values - v_old.values)) <= 1e-12
+                assert abs(report.max_marginal_gap - old.max_marginal_gap) <= 1e-12
+                converged += report.converged
+    assert converged >= 40
 
 
 def test_non_convergence_is_reported_not_silent():

@@ -13,8 +13,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from maskdiff.dist import ENUMERATION_CAP, JointTable, univariate_marginals
+from maskdiff.dist import (
+    ENUMERATION_CAP,
+    POSITIVITY_FLOOR,
+    JointTable,
+    MarginalSet,
+    univariate_marginals,
+)
 from maskdiff.errors import MaskDiffError
+from maskdiff.iproj import apply_factors, iproject_exact
 from maskdiff.harness import (
     EXACT_INDUCED_CAP,
     SyntheticSpec,
@@ -31,7 +38,7 @@ from maskdiff.sampler import (
     sample,
 )
 
-from _helpers import HUGE_BETAS, random_table, zero_table
+from _helpers import HUGE_BETAS, random_rows, random_table, zero_table
 
 BATTERY_BETAS = (0.0, 1.0, 1e3, 1e6)
 
@@ -119,3 +126,18 @@ def test_dcd_samples_at_the_enumeration_cap():
     cfg = SamplerConfig(2, make_schedule("linear", 2), "dcd", seed=810)
     x0, _ = sample(dm, cop, cfg)
     assert x0.time == 0 and data.alphabet.mask_index not in x0.tokens
+
+
+def test_ipf_projects_a_million_state_table():
+    rng = np.random.default_rng(811)
+    data = random_table(rng, 20, 2, floor=True)
+    raw = random_rows(rng, 20, 2).rows.copy()
+    raw[3] = [1.0, 0.0]  # a zero entry meets the floor
+    floored = np.maximum(raw, POSITIVITY_FLOOR)
+    floored /= floored.sum(axis=1, keepdims=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        v, report = iproject_exact(data, MarginalSet(raw))
+        projected, _ = apply_factors(data, v)
+    assert data.alphabet.num_states == 2**20 and report.converged
+    assert np.abs(univariate_marginals(projected).rows - floored).max() <= 1e-9
