@@ -130,6 +130,7 @@ def test_contraction_marginals_equal_axis_sums_of_the_explicit_product():
                 contracted = np.stack(list(iproj._contraction(tensor, scales)))
                 np.testing.assert_allclose(contracted, explicit, rtol=1e-13, atol=0)
 
+
 def test_objective_at_zero_is_one():
     rng = np.random.default_rng(84)
     p = random_table(rng, 2, 3, floor=True)
