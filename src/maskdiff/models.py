@@ -11,6 +11,9 @@ corpus of complete sequences. All queries are exact conditioning of the
 backing table, so every answered row is a valid distribution by construction.
 Each row reads the table's prefix marginal M_k (the table summed over
 positions >= k, shared by all its models) at the unmasked tokens of its context.
+With u one past the last unmasked position of x_{t+1}, the full and the
+causal query share rows u..N-1: a causal miss right after the full miss at
+the same state copies them from it, so a dcd step computes them once.
 
 Corpus files hold one sequence per line as N space-separated integer tokens
 (0-based). Model files are versioned JSON: {version, kind, N, C, payload}.
@@ -107,6 +110,13 @@ def load_model_file(path: str | Path) -> tuple[str, JointTable]:
 _QUERY_CACHE_CAP = 4096
 
 
+class _QueryCache(dict):
+    """(query, tokens) -> MarginalSet, at most _QUERY_CACHE_CAP entries.
+    `last_full` holds the tokens and raw rows of the latest full-context
+    miss, for the causal query at the same state to copy."""
+
+    last_full: tuple = ((), None)
+
 _Model = TypeVar("_Model", bound="_TableModel")
 
 
@@ -117,7 +127,7 @@ class _TableModel:
 
     table: JointTable
     kind: str = KIND_EXACT
-    _query_cache: dict = field(default_factory=dict, init=False, repr=False)
+    _query_cache: _QueryCache = field(default_factory=_QueryCache, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.table.num_positions < 1:
@@ -168,18 +178,24 @@ def _normalized(row: np.ndarray, prefix: tuple[int, ...]) -> np.ndarray:
     return row / mass
 
 
-def _row(model: _TableModel, context: tuple[int, ...], i: int) -> np.ndarray:
-    """Row i of M_{len(context)} given the unmasked tokens of `context`; i is masked there."""
+def _rows(model: _TableModel, context: tuple[int, ...], positions: Sequence[int]) -> list:
+    """Rows at `positions` (each masked in `context`) of M_{len(context)} given
+    the unmasked tokens of `context`, all read from one slice of it."""
     mask = model.alphabet.mask_index
     idx = tuple(slice(None) if tok == mask else tok for tok in context)
     sub = model.table.prefix_marginals[len(context)][idx]
-    return _normalized(position_sum(sub, context[:i].count(mask)), context)
+    return [_normalized(position_sum(sub, context[:i].count(mask)), context) for i in positions]
+
+
+def _context_end(tokens: tuple[int, ...], mask: int) -> int:
+    """u, one past the last unmasked position: every position >= u is masked."""
+    return max((i + 1 for i, tok in enumerate(tokens) if tok != mask), default=0)
 
 
 def pattern_rows(
     model: _TableModel, masked: Sequence[bool], i: int, *, causal: bool = False
 ) -> np.ndarray:
-    """Batched twin of `_row`: row i of `dm_marginals_full` (masked i) or
+    """Batched twin of `_rows`: row i of `dm_marginals_full` (masked i) or
     `dm_marginals_causal` for every state whose mask pattern is `masked`, at
     once. The result is an N-axis tensor with C on the axes of the unmasked
     positions the row reads and on axis i (the row), and 1 elsewhere; a
@@ -195,21 +211,30 @@ def pattern_rows(
 
 
 def _causal_rows(model: _TableModel, tokens: tuple[int, ...]) -> np.ndarray:
-    mask = model.alphabet.mask_index
-    return np.array([_row(model, tokens[:i] + (mask,), i) for i in range(len(tokens))])
+    mask, stop = model.alphabet.mask_index, len(tokens)
+    rows = np.empty((stop, model.alphabet.num_categories), dtype=np.float64)
+    last, full = model._query_cache.last_full
+    if last == tokens:  # rows u..N-1 are the full query's raw rows: copy them
+        stop = _context_end(tokens, mask)
+        rows[stop:] = full[stop:]
+    for i in range(stop):
+        rows[i] = _rows(model, tokens[:i] + (mask,), (i,))[0]
+    return rows
 
 
 def _full_rows(model: _TableModel, tokens: tuple[int, ...]) -> np.ndarray:
     mask = model.alphabet.mask_index
     if mask not in tokens:  # no masked row checks the evidence: check it here
         _normalized(model.table.prefix_marginals[-1][tokens], tokens)
-    u = max((i + 1 for i, tok in enumerate(tokens) if tok != mask), default=0)
+    u = _context_end(tokens, mask)
+    head = iter(_rows(model, tokens[:u], [i for i in range(u) if tokens[i] == mask]))
     rows = np.zeros((len(tokens), model.alphabet.num_categories), dtype=np.float64)
     for i, tok in enumerate(tokens):
-        if tok == mask:
-            rows[i] = _row(model, tokens[: max(u, i + 1)], i)
-        else:
+        if tok != mask:
             rows[i, tok] = 1.0
+        else:
+            rows[i] = next(head) if i < u else _rows(model, tokens[: i + 1], (i,))[0]
+    model._query_cache.last_full = (tokens, rows)
     return rows
 
 

@@ -25,6 +25,7 @@ Bernoulli draw (chunk_size = 1 recovers the per-token process).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -125,8 +126,10 @@ def make_schedule(
     return NoiseSchedule(tuple(alphas), chunk_size)
 
 
+@functools.cache
 def chunk_groups(num_positions: int, chunk_size: int) -> tuple[tuple[int, ...], ...]:
-    """Consecutive position groups of size chunk_size (last may be shorter)."""
+    """Consecutive position groups of size chunk_size (last may be shorter);
+    built once per (num_positions, chunk_size)."""
     return tuple(
         tuple(range(start, min(start + chunk_size, num_positions)))
         for start in range(0, num_positions, chunk_size)

@@ -32,12 +32,21 @@ evaluation does not walk states: it moves every state of a mask pattern at
 once, with the same `step_frame` and `fused_weights` and the batched rows
 of `models.pattern_rows`, and is checked against a dynamic programme over
 `enumerate_step_distribution`.
+
+The RNG stream of `sample` is fixed. In each step, every masked position
+below the fill, left to right, consumes exactly one `rng.random()`, which
+`draw_category` maps to a category by the inverse CDF that
+`Generator.choice` runs: the index and the generator state of
+`rng.choice(C, p=row)`. Then, if the step ends in a re-mask kernel, every
+masked chunk of x_{t+1}, left to right, consumes one `rng.random()` and
+re-masks when it falls below alpha_t / alpha_{t+1}.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import ceil
 from typing import Callable, Iterable, Iterator
 
@@ -159,7 +168,7 @@ class SampleTrace:
 
     def dumps(self) -> str:
         lines = [f"mode={self.mode} seed={self.seed} beta={format_float(self.beta)}"]
-        lines.append(_fmt_state("state", self.states[0]))
+        lines.extend(_fmt_state("state", state) for state in self.states[:1])
         for rec in self.steps:
             lines.append(f"step t={rec.t}")
             lines.append("  " + _fmt_state("x_next", rec.x_next))
@@ -217,18 +226,32 @@ class StepLaw:
         row = ar_conditional(self.copula, prefix, i)
         if self.factors is None:
             return row
-        weights = fused_weights(row, self.factors.values[i], self.beta)
+        scale = self._scales[i]
+        if scale is None:
+            weights = fused_weights(row, self.factors.values[i], self.beta)
+        else:
+            weights = row * scale
         total = float(weights.sum())
         if total <= 0.0:
             raise SupportError(f"fused row at position {i} has no mass")
         return weights / total
+
+    @cached_property
+    def _scales(self) -> list[np.ndarray | None]:
+        """exp(beta * V_i) for each row, computed once per step, or None on a
+        row whose beta * max|V_i| passes 700: `fused_weights` shifts that one.
+        The products are Python floats, which overflow without a warning."""
+        v, beta = self.factors.values, self.beta
+        big = [beta * top > 700.0 for top in np.abs(v).max(axis=1).tolist()]
+        scales = iter(np.exp(beta * v[[not b for b in big]]))
+        return [None if b else next(scales) for b in big]
 
     @property
     def copula_queries(self) -> int:
         """Copula conditionals a single drawn content layer asks for."""
         if self.copula is None:
             return 0
-        return sum(self.x_next.is_masked(i) for i in range(self.fill))
+        return self.x_next.tokens[: self.fill].count(self.x_next.alphabet.mask_index)
 
 
 def fused_weights(row: np.ndarray, v: np.ndarray, beta: float) -> np.ndarray:
@@ -236,14 +259,9 @@ def fused_weights(row: np.ndarray, v: np.ndarray, beta: float) -> np.ndarray:
     broadcast. exp overflows past 709, so a row whose beta * max|v| passes
     700 is shifted by its top v on the support (off it, row is 0) and
     clipped: beta * shift stays in [-750, 0], and exp(-750) is 0."""
-    if v.ndim == 1:  # the walker's one row; Python floats overflow without a warning
-        big = float(beta) * float(np.abs(v).max()) > 700.0
-        shift = big
-    else:
-        with np.errstate(over="ignore"):  # an infinite product only picks the branch
-            big = beta * np.abs(v).max(axis=-1, keepdims=True) > 700.0
-        shift = bool(big.any())
-    if shift:
+    with np.errstate(over="ignore"):  # an infinite product only picks the branch
+        big = beta * np.abs(v).max(axis=-1, keepdims=True) > 700.0
+    if big.any():
         top = np.where(row > 0.0, v, -np.inf).max(axis=-1, keepdims=True)
         v = np.where(big, np.clip(v - top, -750.0 / beta, 0.0), v)
     return row * np.exp(beta * v)
@@ -352,11 +370,11 @@ def _walk(law: StepLaw, pick: Pick) -> list[tuple[tuple[int, ...], float]]:
     """Content layers of `law` with their weights, filled left to right and
     breadth-first: each path extends by the categories `pick` chooses from
     its row. Paths come out in lexicographic order."""
-    x_next = law.x_next
+    mask = law.x_next.alphabet.mask_index
     paths: list[tuple[tuple[int, ...], float]] = [((), 1.0)]
-    for i in range(law.fill):
-        if not x_next.is_masked(i):
-            paths = [(prefix + (x_next.tokens[i],), weight) for prefix, weight in paths]
+    for i, tok in enumerate(law.x_next.tokens[: law.fill]):
+        if tok != mask:
+            paths = [(prefix + (tok,), weight) for prefix, weight in paths]
             continue
         grown = []
         for prefix, weight in paths:
@@ -386,6 +404,22 @@ def _outcomes(
 # Full runs
 # ---------------------------------------------------------------------------
 
+_SUM_TOL = np.finfo(np.float64).eps ** 0.5
+
+
+def draw_category(row: np.ndarray, rng: np.random.Generator) -> int:
+    """An index drawn from `row` by the inverse CDF that
+    `Generator.choice(len(row), p=row)` runs, on one `rng.random()`: the
+    same index and the same stream. Raises InvalidDistributionError where
+    choice rejects the row: an entry negative or NaN, or a sum off 1 by
+    more than sqrt(eps)."""
+    cdf = row.cumsum()
+    if not (row.min() >= 0.0 and abs(cdf[-1] - 1.0) <= _SUM_TOL):
+        raise InvalidDistributionError(f"cannot draw from the row {row!r}")
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def sample(
     dm: DiffusionMarginalModel | None,
     copula: ARCopulaModel | None,
@@ -400,7 +434,7 @@ def sample(
         rng = np.random.default_rng(cfg.seed)
 
     def draw(row: np.ndarray) -> tuple[int]:
-        return (int(rng.choice(len(row), p=row)),)
+        return (draw_category(row, rng),)
 
     def remask_or_keep(row: tuple[float, float]) -> tuple[int]:
         return (0 if rng.random() < row[0] else 1,)

@@ -34,12 +34,14 @@ from maskdiff import sampler as sampler_mod
 from maskdiff.noising import SequenceState, aux_posterior, make_schedule
 from maskdiff.sampler import (
     MODES,
+    SampleTrace,
     SamplerConfig,
     _step_law,
     ar_unmask_schedule,
     dcd_ar_unmask_step,
     dcd_step,
     diffusion_only_step,
+    draw_category,
     enumerate_aux_distribution,
     enumerate_step_distribution,
     fused_weights,
@@ -366,6 +368,12 @@ def test_trace_stores_each_state_once():
         assert all(prev.x_t == rec.x_next for prev, rec in zip(trace.steps, trace.steps[1:]))
 
 
+def test_trace_without_steps_dumps_its_header_and_a_zero_total():
+    trace = SampleTrace("dcd", 7, 0.5)
+    assert trace.states == []
+    assert trace.dumps() == "mode=dcd seed=7 beta=0.5\ntotal_copula_queries: 0\n"
+
+
 @pytest.mark.parametrize("mode,kernels", [
     ("dcd", 1), ("diffusion_only", 1), ("dcd_ar_unmask", 0),
 ])
@@ -412,6 +420,61 @@ def test_sample_draws_one_double_per_masked_position_and_chunk(chunk):
             doubles += len(masked) + len(chunks)
         twin.random(doubles)
         assert rng.random() == twin.random()
+
+
+def random_draw_rows(rng: np.random.Generator, count: int, c: int) -> np.ndarray:
+    """count random rows over c categories, about a third of the entries 0."""
+    raw = rng.gamma(1.0, size=(count, c)) * (rng.random((count, c)) > 1 / 3)
+    raw[np.arange(count), rng.integers(c, size=count)] += 0.1  # keep some mass
+    return raw / raw.sum(axis=1, keepdims=True)
+
+
+def law_rows(monkeypatch, mode: str, beta: float, sequences: int) -> list[np.ndarray]:
+    """Every row `sample` draws from in a seeded stream of `mode` at (4, 3, 4)."""
+    data = gen_data(SyntheticSpec("markov_chain", 4, 3, 0.8, 3))
+    dm, cop = DiffusionMarginalModel.exact(data), ARCopulaModel.exact(data)
+    rows = []
+
+    def record(row, rng):
+        rows.append(np.array(row))
+        return draw_category(row, rng)
+
+    monkeypatch.setattr(sampler_mod, "draw_category", record)
+    rng = np.random.default_rng(MODES.index(mode))
+    for _ in range(sequences):
+        sample(dm, cop, config(mode, 4, beta=beta), rng)
+    monkeypatch.undo()
+    return rows
+
+
+def test_draw_matches_generator_choice_on_twin_generators(monkeypatch):
+    """The inverse-CDF draw picks what `Generator.choice` picks and leaves the
+    generator in the same state, on 10^5 rows: random rows with zeros over
+    2-6 categories, and the rows each mode's step laws hand the draw."""
+    rng = np.random.default_rng(115)
+    rows = [row for c in range(2, 7) for row in random_draw_rows(rng, 18_000, c)]
+    for mode, beta in [(mode, 1.0) for mode in MODES] + [("dcd", 1e3)]:  # 1e3: shifted rows
+        rows += law_rows(monkeypatch, mode, beta, 400)
+    assert len(rows) >= 100_000
+    mine, oracle = np.random.default_rng(116), np.random.default_rng(116)
+    drawn = [draw_category(row, mine) for row in rows]
+    assert drawn == [int(oracle.choice(len(row), p=row)) for row in rows]
+    assert mine.bit_generator.state == oracle.bit_generator.state
+
+
+@pytest.mark.parametrize("row", [
+    [0.5, math.nan, 0.5],
+    [0.5, -0.25, 0.75],
+    [0.5, 0.5 + 1e-7, 0.0],
+    [0.5, 0.5 - 1e-7, 0.0],
+    [0.5, math.inf, 0.0],
+])
+def test_draw_rejects_what_generator_choice_rejects(row):
+    row = np.array(row)
+    with pytest.raises(ValueError):
+        np.random.default_rng(0).choice(len(row), p=row)
+    with pytest.raises(InvalidDistributionError, match="cannot draw"):
+        draw_category(row, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("beta", [40.0, 1e3, 1e6])
