@@ -117,6 +117,7 @@ class _QueryCache(dict):
 
     last_full: tuple = ((), None)
 
+
 _Model = TypeVar("_Model", bound="_TableModel")
 
 
