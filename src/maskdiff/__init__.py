@@ -34,7 +34,6 @@ from .harness import (
     kl_to_data,
     nelbo_factorized,
     optimal_factorized_denoiser,
-    rankwise_projection_gap,
     run_sweep,
 )
 from .iproj import (
@@ -76,7 +75,6 @@ from .sampler import (
     ar_unmask_schedule,
     dcd_step,
     diffusion_only_step,
-    enumerate_step_distribution,
     sample,
 )
 

@@ -4,7 +4,7 @@ Subcommands: gen-data, fit, sample, eval, sweep, verify. Global flags
 --seed, --config, --out-dir. Every flag that sets a `config.SCHEMA` key
 parses with that key's parser; a flag overrides the config file, which
 overrides the SCHEMA default. Exit codes: 0 success, 1 verification
-failure, 2 configuration/input error.
+failure, 2 configuration/input error or an output that cannot be written.
 """
 
 from __future__ import annotations
@@ -306,7 +306,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except MaskDiffError as exc:
+    except (MaskDiffError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -43,16 +43,14 @@ from .dist import (
     kl,
     product_table,
     state_to_index,
-    total_variation,
     univariate_marginals,
 )
 from .errors import CapExceededError, InvalidDistributionError, ScheduleError, SupportError
-from .iproj import apply_factors, iproject_exact, rankwise_update
+from .iproj import rankwise_update
 from .models import (
     ARCopulaModel,
     DiffusionMarginalModel,
     ar_chain_table,
-    dm_marginals_full,
     pattern_rows,
 )
 from .noising import (
@@ -68,7 +66,6 @@ from .sampler import (
     MODE_DIFFUSION_ONLY,
     SamplerConfig,
     check_models,
-    enumerate_aux_distribution,
     fused_weights,
     required_models,
     sample,
@@ -453,48 +450,6 @@ def _induced_monte_carlo(
     table = JointTable(alphabet, counts / num_samples)
     stderr = float(math.sqrt(0.25 / num_samples))
     return InducedResult(table, "monte_carlo", num_samples, stderr)
-
-
-# ---------------------------------------------------------------------------
-# Rank-wise approximation gap
-# ---------------------------------------------------------------------------
-
-def rankwise_projection_gap(
-    dm: DiffusionMarginalModel,
-    copula: ARCopulaModel,
-    x_next: SequenceState,
-    *,
-    beta: float = 1.0,
-) -> float:
-    """Total variation between the fused per-step law the sampler actually
-    draws from and the exact projection of the clamped copula-chain
-    distribution onto the marginal model's rows, both restricted to the
-    masked positions. Measures what the row-independent update (plus its
-    causal-context substitution) gives away; no bound is asserted anywhere,
-    this is a diagnostic."""
-    masked = x_next.masked_positions
-    if not masked:
-        return 0.0
-    sched = make_schedule("linear", x_next.time)
-
-    def reduced_law(beta_value: float) -> np.ndarray:
-        cfg = SamplerConfig(
-            steps=x_next.time, schedule=sched, mode="dcd", beta=beta_value
-        )
-        aux = enumerate_aux_distribution(dm, copula, x_next, cfg)
-        out = np.zeros(reduced.num_states)
-        for tokens, weight in aux.items():
-            key = tuple(tokens[i] for i in masked)
-            out[state_to_index(reduced, key)] += weight
-        return out
-
-    reduced = Alphabet(len(masked), dm.alphabet.num_categories)
-    fused = JointTable(reduced, reduced_law(beta))
-    chain = JointTable(reduced, reduced_law(0.0)).floored()
-    target_rows = dm_marginals_full(dm, x_next).rows[list(masked)]
-    v, _ = iproject_exact(chain, MarginalSet(target_rows))
-    exact, _ = apply_factors(chain, v)
-    return total_variation(fused, exact)
 
 
 # ---------------------------------------------------------------------------

@@ -523,3 +523,18 @@ def test_fit_sample_from_into_a_missing_out_dir(tmp_path, data_file):
                 "--corpus-size", "10", "--out", str(tmp_path / "m.json")]) == 0
     assert load_corpus(out_dir / "corpus.txt").shape == (10, 2)
     assert DiffusionMarginalModel.load(tmp_path / "m.json").kind == "counts"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--out-dir", "{d}", "sweep", "--data", "{d}"],
+    ["sample", "--data", "{d}", "--out", "{d}/s.txt"],
+    ["sample", "--data", "{d}", "--trace", "{d}/t.txt"],
+    ["gen-data", "--out", "{d}/x.json"],
+    ["fit", "--from-table", "{d}", "--out", "{d}/m.json"],
+], ids=["sweep-out-dir", "sample-out", "sample-trace", "gen-data-out", "fit-out"])
+def test_output_path_that_cannot_be_created_is_exit_2(tmp_path, data_file, capsys, argv):
+    # the data file is a regular file, so no directory can be made under it
+    argv = ["--out-dir", str(tmp_path)] + [a.format(d=data_file) for a in argv]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err

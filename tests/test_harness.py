@@ -563,45 +563,6 @@ def test_mismatched_models_few_step_advantage():
     assert kl_at("dcd", 4) < kl_ar
 
 
-def test_rankwise_gap_zero_for_exact_pair_instances():
-    from maskdiff.harness import rankwise_projection_gap
-    from maskdiff.noising import SequenceState
-
-    data = correlated_pair().floored()
-    dm, cop = DiffusionMarginalModel.exact(data), ARCopulaModel.exact(data)
-    mask = data.alphabet.mask_index
-    for tokens in ((mask, mask), (mask, 1), (0, mask)):
-        x_next = SequenceState(tokens, 1, data.alphabet)
-        assert rankwise_projection_gap(dm, cop, x_next) < 1e-12
-
-
-def test_rankwise_gap_measures_mismatch():
-    # with a mismatched copula at the all-mask start the two-context factors
-    # vanish, so the fused law keeps the copula's wrong marginals while the
-    # exact projection corrects them; the diagnostic must see that
-    from maskdiff.dist import sample_states
-    from maskdiff.harness import rankwise_projection_gap
-    from maskdiff.noising import SequenceState
-
-    rng = np.random.default_rng(130)
-    data = random_table(rng, 3, 2, floor=True)
-    dm = DiffusionMarginalModel.exact(data)
-    cop = ARCopulaModel.from_corpus(sample_states(data, 30, rng), data.alphabet)
-    x_next = SequenceState.all_masked(data.alphabet, 1)
-    gap = rankwise_projection_gap(dm, cop, x_next)
-    assert gap > 1e-3
-
-
-def test_rankwise_gap_takes_beta_by_keyword_only():
-    from maskdiff.harness import rankwise_projection_gap
-
-    dm, cop = exact_models(correlated_pair())
-    x_next = SequenceState.all_masked(dm.alphabet, 1)
-    with pytest.raises(TypeError):
-        rankwise_projection_gap(dm, cop, x_next, 0)
-    assert rankwise_projection_gap(dm, cop, x_next, beta=0.0) < 1e-12
-
-
 def test_sweep_timings_are_opt_in(tmp_path):
     data = correlated_pair()
     dm, cop = exact_models(data)

@@ -1,6 +1,6 @@
 """Public surface: every name the package re-exports has a caller outside
 `__init__.py` in the library or the benchmark, so no public function lives
-only for its own unit test."""
+only for its own unit test: an export that nothing reads fails this test."""
 
 from __future__ import annotations
 
@@ -9,13 +9,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "maskdiff"
-
-# name -> why it may stay exported without a caller
-ALLOWED_WITHOUT_CALLER = {
-    "enumerate_step_distribution": "the per-state oracle of the dense induced-law pass; "
-                                   "perfbench/tracing.py traces it by name",
-    "rankwise_projection_gap": "kept for conditional generation (ROADMAP item 1), which will call it",
-}
 
 
 def _exported() -> set[str]:
@@ -45,4 +38,4 @@ def _loaded() -> set[str]:
 
 def test_every_export_has_a_caller():
     uncalled = _exported() - _loaded()
-    assert uncalled == set(ALLOWED_WITHOUT_CALLER), sorted(uncalled ^ set(ALLOWED_WITHOUT_CALLER))
+    assert not uncalled, sorted(uncalled)

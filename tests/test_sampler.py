@@ -190,11 +190,13 @@ def test_dcd_aux_with_suffix_evidence_is_exact_posterior():
     dm, cop = exact_models(data)
     cfg = config("dcd", 2)
     mask = data.alphabet.mask_index
-    x_next = SequenceState((mask, 0), 2, data.alphabet)
-    aux = enumerate_aux_distribution(dm, cop, x_next, cfg)
-    truth = aux_posterior(dm.table, x_next)
-    for tokens, weight in aux.items():
-        assert weight == pytest.approx(truth.prob(tokens), abs=1e-12)
+    # on two variables dcd's row-wise reweighting is exact in every context
+    for context in ((mask, 0), (mask, mask), (mask, 1), (0, mask)):
+        x_next = SequenceState(context, 2, data.alphabet)
+        aux = enumerate_aux_distribution(dm, cop, x_next, cfg)
+        truth = aux_posterior(dm.table, x_next)
+        for tokens, weight in aux.items():
+            assert weight == pytest.approx(truth.prob(tokens), abs=1e-12), context
 
 
 def test_one_shot_empirical_distribution_chi_squared():
