@@ -17,7 +17,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .config import SCHEMA, count, load_config, resolve
-from .dist import Alphabet, format_float_short, load_table, sample_states, save_table
+from .dist import Alphabet, format_float_short, load_table, make_output_dirs, sample_states, save_table
 from .errors import ConfigError, MaskDiffError
 from .harness import (
     SyntheticSpec,
@@ -183,7 +183,7 @@ def cmd_gen_data(args: argparse.Namespace, cfg: dict) -> int:
     spec = SyntheticSpec(**{key: _get(args, cfg, "data", key) for key in SCHEMA["data"]})
     table = gen_data(spec)
     out = Path(args.out) if args.out else Path(args.out_dir) / "data.json"
-    out.parent.mkdir(parents=True, exist_ok=True)
+    make_output_dirs([out])
     save_table(table, out)
     print(f"wrote {out} ({spec.kind}, N={spec.num_positions}, C={spec.num_categories})")
     return 0
@@ -191,10 +191,10 @@ def cmd_gen_data(args: argparse.Namespace, cfg: dict) -> int:
 
 def cmd_fit(args: argparse.Namespace, cfg: dict) -> int:
     out = Path(args.out) if args.out else Path(args.out_dir) / "model.json"
-    out.parent.mkdir(parents=True, exist_ok=True)
     if args.from_table:
-        table = load_table(args.from_table)
-        DiffusionMarginalModel.exact(table.floored()).save(out)
+        model = DiffusionMarginalModel.exact(load_table(args.from_table).floored())
+        make_output_dirs([out])
+        model.save(out)
         print(f"wrote exact model {out}")
         return 0
     smoothing = _get(args, cfg, "fit", "smoothing")
@@ -212,9 +212,9 @@ def cmd_fit(args: argparse.Namespace, cfg: dict) -> int:
         raise ConfigError("fit needs one of --corpus, --from-table, --sample-from")
     # fit first, so a bad smoothing writes nothing
     model = DiffusionMarginalModel.from_corpus(seqs, alphabet, smoothing)
+    corpus_path = Path(args.out_dir) / "corpus.txt"
+    make_output_dirs([corpus_path, out] if args.sample_from else [out])
     if args.sample_from:
-        corpus_path = Path(args.out_dir) / "corpus.txt"
-        corpus_path.parent.mkdir(parents=True, exist_ok=True)
         save_corpus(seqs, corpus_path)
         print(f"wrote {corpus_path} ({args.corpus_size} sequences)")
     model.save(out)
@@ -235,9 +235,7 @@ def cmd_sample(args: argparse.Namespace, cfg: dict) -> int:
         if args.trace:
             traces.append(f"# sample {k}\n" + trace.dumps())
     out = Path(args.out) if args.out else Path(args.out_dir) / "samples.txt"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    if args.trace:
-        Path(args.trace).parent.mkdir(parents=True, exist_ok=True)
+    make_output_dirs([out, Path(args.trace)] if args.trace else [out])
     out.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
     print(f"wrote {out} ({num} samples, mode={scfg.mode}, T={scfg.steps})")
     if args.trace:

@@ -25,6 +25,7 @@ significant decimal digits, which round-trips float64 exactly.
 
 from __future__ import annotations
 
+import errno
 import itertools
 import json
 import math
@@ -409,6 +410,19 @@ def read_input(path: str | Path) -> str:
         raise InputFileError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise InputFileError(f"{path} is not UTF-8 text") from exc
+
+
+def make_output_dirs(paths: Sequence[Path]) -> None:
+    """Make the parent directories of `paths` once each of them can be
+    written: none is a directory and none lies under a file. Otherwise raise
+    the OSError that writing it would meet, before making any directory."""
+    for path in paths:
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, "Is a directory", str(path))
+        if not next((up for up in path.parents if up.exists()), Path(".")).is_dir():
+            raise NotADirectoryError(errno.ENOTDIR, "Not a directory", str(path))
+    for path in paths:
+        path.parent.mkdir(parents=True, exist_ok=True)
 
 
 def parse_json_object(text: str, what: str, keys: Sequence[str]) -> dict:

@@ -2,20 +2,20 @@
 
 Generators produce small joint tables with a controllable amount of
 dependence. Evaluation never estimates anything it can enumerate: the
-distribution a sampler induces over final sequences is computed by dynamic
-programming over the exact per-step laws, held as a (C+1,)*N weight tensor
-per time and advanced one mask pattern at a time (every state that shares
-a pattern moves in one tensor pass), and quality is measured as
-KL(data || induced) plus the expected negative log-likelihood of generated
-sequences under the true data table. The step-count lower bound
-H(data) + sum_t E[TC(reverse posterior)] is evaluated exactly in the same
-shape: one tensor pass per step and chunk mask pattern takes the Bayes-rule
-posterior of every state with that pattern and its total correlation. The
-negative ELBO of a factorized denoiser, which may give each state any rows,
-is evaluated state by state from `posterior_from_prior` (one forward prior
-per step), so the bound's equality case is checked to rounding error by two
-independent paths. A sweep builds each mode's pattern rows once and shares
-them across its (T, beta) cells.
+distribution a sampler induces over final sequences is a (C+1,)*N weight
+tensor moved from the all-mask state at time T to time 0 by the sampler's
+`dense_step`, which holds each mode's step law for whole mask patterns,
+and quality is measured as KL(data || induced) plus the expected negative
+log-likelihood of generated sequences under the true data table. The
+step-count lower bound H(data) + sum_t E[TC(reverse posterior)] is
+evaluated exactly in the same shape: one tensor pass per step and chunk
+mask pattern takes the Bayes-rule posterior of every state with that
+pattern and its total correlation. The negative ELBO of a factorized
+denoiser, which may give each state any rows, is evaluated state by state
+from `posterior_from_prior` (one forward prior per step), so the bound's
+equality case is checked to rounding error by two independent paths. A
+sweep builds each mode's pattern rows once and shares them across its
+(T, beta) cells.
 
 Sweeps draw no samples: given their config they are deterministic and the
 CSV is byte-stable (wall-clock timings are opt-in and empty by default).
@@ -41,18 +41,13 @@ from .dist import (
     entropy,
     format_float_short,
     kl,
+    make_output_dirs,
     product_table,
     state_to_index,
     univariate_marginals,
 )
 from .errors import CapExceededError, InvalidDistributionError, ScheduleError, SupportError
-from .iproj import rankwise_update
-from .models import (
-    ARCopulaModel,
-    DiffusionMarginalModel,
-    ar_chain_table,
-    pattern_rows,
-)
+from .models import ARCopulaModel, DiffusionMarginalModel, ar_chain_table
 from .noising import (
     NoiseSchedule,
     SequenceState,
@@ -63,13 +58,12 @@ from .noising import (
 )
 from .sampler import (
     MODE_AR_ONLY,
-    MODE_DIFFUSION_ONLY,
+    PatternRows,
     SamplerConfig,
     check_models,
-    fused_weights,
+    dense_step,
     required_models,
     sample,
-    step_frame,
 )
 
 DATA_KINDS = ("random_dirichlet", "correlated_phrases", "markov_chain")
@@ -293,10 +287,10 @@ def induced_distribution(
             if mc_samples is None:
                 raise
             return _induced_monte_carlo(dm, copula, cfg, alphabet, mc_samples, rng)
-    return _induced_exact(_PatternRows(dm, copula, cfg.mode), cfg)
+    return _induced_exact(PatternRows(dm, copula, cfg.mode), cfg)
 
 
-def _induced_exact(rows: _PatternRows, cfg: SamplerConfig) -> InducedResult:
+def _induced_exact(rows: PatternRows, cfg: SamplerConfig) -> InducedResult:
     """The exact induced law of a checked cfg, from `rows` (built for
     cfg.mode over the same models)."""
     if cfg.mode == MODE_AR_ONLY:
@@ -317,118 +311,16 @@ def _check_exact_cap(alphabet: Alphabet, steps: int) -> None:
         )
 
 
-def _dense_law(rows: _PatternRows, cfg: SamplerConfig) -> np.ndarray:
-    """The final-sequence law as a (C,)*N tensor. The weights of the states
-    at each time form a (C+1,)*N tensor, with a boolean twin that marks the
-    states the per-state enumeration would visit: a path whose weight
-    underflows to 0 still counts, so it still raises. The states that share
-    a mask pattern differ only in their clamped tokens, and one pass moves
-    them all: it checks their evidence, multiplies the content layer's rows
-    in left-to-right order (as tensors over the clamped and drawn axes),
-    applies each masked chunk's keep/re-mask factor and adds the result
-    into the next time's tensor."""
-    alphabet = rows.dm.alphabet
-    n, c = alphabet.num_positions, alphabet.num_categories
+def _dense_law(rows: PatternRows, cfg: SamplerConfig) -> np.ndarray:
+    """The final-sequence law as a (C,)*N tensor: `dense_step` from the
+    all-MASK state at time T down to time 0."""
+    n, c = rows.dm.alphabet.num_positions, rows.dm.alphabet.num_categories
     weights = np.zeros((c + 1,) * n, dtype=np.float64)
     weights[(c,) * n] = 1.0
     present = weights > 0.0
     for time in range(cfg.steps, 0, -1):
-        nxt, reached = np.zeros_like(weights), np.zeros_like(present)
-        for masked in itertools.product((False, True), repeat=n):
-            src = tuple(c if m else slice(0, c) for m in masked)
-            here = present[src]
-            if not here.any():
-                continue
-            shape = tuple(1 if m else c for m in masked)
-            w, p = weights[src].reshape(shape), here.reshape(shape)
-            if np.any(p & ~rows.evidence(masked)):
-                raise SupportError("a reachable state's unmasked tokens have zero probability")
-            x_next = SequenceState(tuple(c if m else 0 for m in masked), time, alphabet)
-            fill, kernel = step_frame(x_next, cfg)
-            for i in x_next.masked_positions:
-                if i >= fill:
-                    break
-                row, ok = rows.row(masked, i, cfg.beta)
-                if np.any(p & ~ok):
-                    raise SupportError(f"fused row at position {i} has no mass")
-                w, p = w * row, p & (row > 0.0)
-            if kernel is None:  # positions past the fill stay MASK
-                dest = tuple(slice(0, c) if i < fill else slice(c, c + 1) for i in range(n))
-            else:
-                for chunk in kernel.mask_chunks:
-                    w, p = _remask(w, p, chunk, kernel.ratio)
-                dest = tuple(slice(None) if m else slice(0, c) for m in masked)
-            nxt[dest] += w
-            reached[dest] |= p
-        weights, present = nxt, reached
+        weights, present = dense_step(rows, weights, present, time, cfg)
     return weights[(slice(0, c),) * n]
-
-
-def _remask(
-    w: np.ndarray, p: np.ndarray, chunk: tuple[int, ...], ratio: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """One masked chunk's re-mask step on a content-layer tensor: its axes
-    grow from C to C+1, keeping each token with 1 - ratio or moving the
-    chunk's whole mass to MASK with ratio."""
-    c = w.shape[chunk[0]]
-    shape = tuple(c + 1 if i in chunk else size for i, size in enumerate(w.shape))
-    keep = tuple(slice(0, c) if i in chunk else slice(None) for i in range(w.ndim))
-    gone = tuple(slice(c, None) if i in chunk else slice(None) for i in range(w.ndim))
-    out, reached = np.zeros(shape), np.zeros(shape, dtype=bool)
-    out[keep] = w * (1.0 - ratio)
-    out[gone] = ratio * w.sum(axis=chunk, keepdims=True)
-    reached[keep] = p & (1.0 - ratio > 0.0)
-    reached[gone] = p.any(axis=chunk, keepdims=True) & (ratio > 0.0)
-    return out, reached
-
-
-class _PatternRows:
-    """The content layer's rows for every state of a mask pattern, as N-axis
-    tensors with the row along the drawn position's axis. No row depends on
-    time, and only the fused rows depend on beta, so one object serves
-    every (T, beta) cell of a mode: the marginal rows, the copula rows, V
-    and the evidence are built once per pattern and position, the fused
-    rows once per beta as well."""
-
-    def __init__(self, dm: DiffusionMarginalModel | None, copula: ARCopulaModel | None,
-                 mode: str) -> None:
-        self.dm, self.copula = dm, copula
-        self.fused = mode != MODE_DIFFUSION_ONLY
-        self._evidence: dict[tuple[bool, ...], np.ndarray] = {}
-        self._parts: dict[tuple[tuple[bool, ...], int], tuple[np.ndarray, ...]] = {}
-        self._rows: dict[tuple[tuple[bool, ...], int, float], tuple[np.ndarray, np.ndarray]] = {}
-
-    def evidence(self, masked: tuple[bool, ...]) -> np.ndarray:
-        """Whether each state's unmasked tokens have mass under the marginal
-        model, over the unmasked axes."""
-        if masked not in self._evidence:
-            axes = tuple(i for i, m in enumerate(masked) if m)
-            self._evidence[masked] = self.dm.table.tensor().sum(axis=axes, keepdims=True) > 0.0
-        return self._evidence[masked]
-
-    def row(self, masked: tuple[bool, ...], i: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
-        """(rows at masked position i under beta, where those rows have mass)."""
-        if (masked, i) not in self._parts:
-            self._parts[masked, i] = self._beta_free(masked, i)
-        if not self.fused:  # the evidence check already covers these rows
-            return self._parts[masked, i][0], np.True_
-        if (masked, i, beta) not in self._rows:
-            cond, v = self._parts[masked, i]
-            weights = fused_weights(cond, v, beta)
-            total = weights.sum(axis=-1, keepdims=True)
-            fused = np.divide(weights, total, out=np.zeros_like(weights), where=total > 0.0)
-            self._rows[masked, i, beta] = np.moveaxis(fused, -1, i), np.moveaxis(total > 0.0, -1, i)
-        return self._rows[masked, i, beta]
-
-    def _beta_free(self, masked: tuple[bool, ...], i: int) -> tuple[np.ndarray, ...]:
-        """(the marginal rows,) unfused; (copula rows, V) with the row on the
-        last axis when fused."""
-        full = pattern_rows(self.dm, masked, i)
-        if not self.fused:
-            return (full,)
-        v = rankwise_update(*np.broadcast_arrays(full, pattern_rows(self.dm, masked, i, causal=True)))
-        cond = pattern_rows(self.copula, (False,) * len(masked), i, causal=True)
-        return np.moveaxis(cond, i, -1), np.moveaxis(v, i, -1)
 
 
 def _induced_monte_carlo(
@@ -520,7 +412,7 @@ def run_sweep(
             if mode != MODE_AR_ONLY:
                 _check_exact_cap(alphabet, steps)
     bound_cache: dict[int, float] = {}
-    rows = {mode: _PatternRows(dm, copula, mode) for mode in modes}
+    rows = {mode: PatternRows(dm, copula, mode) for mode in modes}
     results: list[ExperimentResult] = []
     for cfg in cells:
         if cfg.steps not in bound_cache:
@@ -554,9 +446,8 @@ def results_to_csv(results: Sequence[ExperimentResult]) -> str:
 
 
 def write_sweep_outputs(results: Sequence[ExperimentResult], out_dir: str | Path) -> None:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "results.csv").write_text(results_to_csv(results), encoding="utf-8")
+    """results.csv and the plot files, written once all can be written."""
+    files = {"results.csv": results_to_csv(results)}
     by_series: dict[tuple[str, str, float], list[ExperimentResult]] = defaultdict(list)
     for r in results:
         by_series[("kl", r.mode, r.beta)].append(r)
@@ -566,5 +457,8 @@ def write_sweep_outputs(results: Sequence[ExperimentResult], out_dir: str | Path
         for r in sorted(rows, key=lambda r: r.steps):
             value = r.kl_to_data if metric == "kl" else r.nll
             lines.append(f"{r.steps}\t{format_float_short(value)}")
-        name = f"plot_{metric}_{mode}_beta{format_float_short(beta)}.tsv"
-        (out / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        files[f"plot_{metric}_{mode}_beta{format_float_short(beta)}.tsv"] = "\n".join(lines) + "\n"
+    out = Path(out_dir)
+    make_output_dirs([out / name for name in files])
+    for name, text in files.items():
+        (out / name).write_text(text, encoding="utf-8")

@@ -23,15 +23,15 @@ every position past the fill.
                  exactly once across the whole run (N queries total,
                  independent of T).
 
-One left-to-right walker consumes a law, and `_outcomes` ends each content
-layer's step. `sample` draws one category per masked position and one
-re-mask decision per masked chunk; `enumerate_aux_distribution` and
-`enumerate_step_distribution` keep every option with positive mass and so
-give the per-step law exactly, one state at a time. The harness's exact
-evaluation does not walk states: it moves every state of a mask pattern at
-once, with the same `step_frame` and `fused_weights` and the batched rows
-of `models.pattern_rows`, and is checked against a dynamic programme over
-`enumerate_step_distribution`.
+Each law has two forms here. `sample` walks it along one path: left to
+right, one category per masked position, then one re-mask decision per
+masked chunk. `dense_step` moves every state of a (C+1,)*N weight tensor
+one step on at once: states that share a mask pattern differ only in their
+clamped tokens, so one pass multiplies their rows (tensors from
+`PatternRows`) and re-masks them all. Every exact law comes from it: the
+harness runs it from the all-mask state to time 0, the enumerators run it
+once from x_{t+1} alone (`enumerate_aux_distribution` stops before the
+re-mask), and the tests check it against a per-state walk of `StepLaw`s.
 
 The RNG stream of `sample` is fixed. In each step, every masked position
 below the fill, left to right, consumes exactly one `rng.random()`, which
@@ -44,11 +44,11 @@ re-masks when it falls below alpha_t / alpha_{t+1}.
 
 from __future__ import annotations
 
-from collections import defaultdict
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import ceil
-from typing import Callable, Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -60,21 +60,16 @@ from .errors import (
     ScheduleError,
     SupportError,
 )
-from .iproj import FactorMatrix, dcd_factors
+from .iproj import FactorMatrix, dcd_factors, rankwise_update
 from .models import (
     ARCopulaModel,
     DiffusionMarginalModel,
     ar_conditional,
     dm_marginals_causal,
     dm_marginals_full,
+    pattern_rows,
 )
-from .noising import (
-    NoiseSchedule,
-    RemaskDistribution,
-    SequenceState,
-    positive_options,
-    remask_kernel,
-)
+from .noising import NoiseSchedule, RemaskDistribution, SequenceState, remask_kernel
 
 MODE_DCD = "dcd"
 MODE_DIFFUSION_ONLY = "diffusion_only"
@@ -363,41 +358,120 @@ def _step_law(
     return StepLaw(x_next, 0, x_next.alphabet.num_positions, None, copula)
 
 
-Pick = Callable[[np.ndarray], Iterable[int]]
+class PatternRows:
+    """The content layer's rows for every state of a mask pattern, as N-axis
+    tensors with the row along the drawn position's axis. No row depends on
+    time, and only the fused rows depend on beta, so one object serves
+    every (T, beta) cell of a mode: the marginal rows, the copula rows, V
+    and the evidence are built once per pattern and position, the fused
+    rows once per beta as well."""
+
+    def __init__(self, dm: DiffusionMarginalModel | None, copula: ARCopulaModel | None,
+                 mode: str) -> None:
+        self.dm, self.copula = dm, copula
+        self.fused = mode != MODE_DIFFUSION_ONLY
+        self._evidence: dict[tuple[bool, ...], np.ndarray] = {}
+        self._parts: dict[tuple[tuple[bool, ...], int], tuple[np.ndarray, ...]] = {}
+        self._rows: dict[tuple[tuple[bool, ...], int, float], tuple[np.ndarray, np.ndarray]] = {}
+
+    def evidence(self, masked: tuple[bool, ...]) -> np.ndarray:
+        """Whether each state's unmasked tokens have mass under the marginal
+        model, over the unmasked axes."""
+        if masked not in self._evidence:
+            axes = tuple(i for i, m in enumerate(masked) if m)
+            self._evidence[masked] = self.dm.table.tensor().sum(axis=axes, keepdims=True) > 0.0
+        return self._evidence[masked]
+
+    def row(self, masked: tuple[bool, ...], i: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
+        """(rows at masked position i under beta, where those rows have mass)."""
+        if (masked, i) not in self._parts:
+            self._parts[masked, i] = self._beta_free(masked, i)
+        if not self.fused:  # the evidence check already covers these rows
+            return self._parts[masked, i][0], np.True_
+        if (masked, i, beta) not in self._rows:
+            cond, v = self._parts[masked, i]
+            weights = fused_weights(cond, v, beta)
+            total = weights.sum(axis=-1, keepdims=True)
+            fused = np.divide(weights, total, out=np.zeros_like(weights), where=total > 0.0)
+            self._rows[masked, i, beta] = np.moveaxis(fused, -1, i), np.moveaxis(total > 0.0, -1, i)
+        return self._rows[masked, i, beta]
+
+    def _beta_free(self, masked: tuple[bool, ...], i: int) -> tuple[np.ndarray, ...]:
+        """(the marginal rows,) unfused; (copula rows, V) with the row on the
+        last axis when fused."""
+        full = pattern_rows(self.dm, masked, i)
+        if not self.fused:
+            return (full,)
+        v = rankwise_update(*np.broadcast_arrays(full, pattern_rows(self.dm, masked, i, causal=True)))
+        cond = pattern_rows(self.copula, (False,) * len(masked), i, causal=True)
+        return np.moveaxis(cond, i, -1), np.moveaxis(v, i, -1)
 
 
-def _walk(law: StepLaw, pick: Pick) -> list[tuple[tuple[int, ...], float]]:
-    """Content layers of `law` with their weights, filled left to right and
-    breadth-first: each path extends by the categories `pick` chooses from
-    its row. Paths come out in lexicographic order."""
-    mask = law.x_next.alphabet.mask_index
-    paths: list[tuple[tuple[int, ...], float]] = [((), 1.0)]
-    for i, tok in enumerate(law.x_next.tokens[: law.fill]):
-        if tok != mask:
-            paths = [(prefix + (tok,), weight) for prefix, weight in paths]
+def _content_layers(
+    rows: PatternRows, weights: np.ndarray, present: np.ndarray, time: int, cfg: SamplerConfig
+) -> Iterator[tuple[tuple[bool, ...], int, RemaskDistribution | None, np.ndarray, np.ndarray]]:
+    """(mask pattern, fill, kernel, w, p) for each mask pattern with a
+    present state at `time`: w weighs the content layers of all its states,
+    over the clamped and drawn axes, and p marks those the per-state walk
+    would visit (a path whose weight underflows to 0 still counts)."""
+    c = rows.dm.alphabet.num_categories
+    for masked in itertools.product((False, True), repeat=weights.ndim):
+        src = tuple(c if m else slice(0, c) for m in masked)
+        here = present[src]
+        if not here.any():
             continue
-        grown = []
-        for prefix, weight in paths:
-            row = law.row(i, prefix)
-            grown.extend((prefix + (cat,), weight * float(row[cat])) for cat in pick(row))
-        paths = grown
-    return paths
+        x_next = SequenceState(tuple(c if m else 0 for m in masked), time, rows.dm.alphabet)
+        fill, kernel = step_frame(x_next, cfg)
+        shape = tuple(1 if m else c for m in masked)
+        w, p = weights[src].reshape(shape), here.reshape(shape)
+        if np.any(p & ~rows.evidence(masked)):
+            raise SupportError("a reachable state's unmasked tokens have zero probability")
+        for i in x_next.masked_positions:
+            if i >= fill:
+                break
+            row, ok = rows.row(masked, i, cfg.beta)
+            if np.any(p & ~ok):
+                raise SupportError(f"fused row at position {i} has no mass")
+            w, p = w * row, p & (row > 0.0)
+        yield masked, fill, kernel, w, p
 
 
-def _outcomes(
-    law: StepLaw, pick: Pick, remask_pick: Pick
-) -> Iterator[tuple[tuple[int, ...], SequenceState, float]]:
-    """(content layer, x_t, weight) of the step: each content layer from
-    `_walk`, then the re-mask outcomes `remask_pick` chooses or, without a
-    kernel, MASK at every position >= fill."""
-    alphabet = law.x_next.alphabet
-    pad = (alphabet.mask_index,) * (alphabet.num_positions - law.fill)
-    for tokens, weight in _walk(law, pick):
-        if law.remask is None:
-            yield tokens, SequenceState(tokens + pad, law.t, alphabet), weight
-            continue
-        for x_t, p in law.remask.outcomes(tokens, remask_pick):
-            yield tokens, x_t, weight * p
+def dense_step(
+    rows: PatternRows, weights: np.ndarray, present: np.ndarray, time: int, cfg: SamplerConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """One step of cfg.mode from every state of `weights`, a (C+1,)*N tensor
+    over the states at `time` whose boolean twin `present` marks the states
+    the per-state walk would visit; returns the same pair at time - 1."""
+    c = rows.dm.alphabet.num_categories
+    nxt, reached = np.zeros_like(weights), np.zeros_like(present)
+    for masked, fill, kernel, w, p in _content_layers(rows, weights, present, time, cfg):
+        if kernel is None:
+            dest = tuple(slice(0, c) if i < fill else slice(c, c + 1) for i in range(len(masked)))
+        else:
+            for chunk in kernel.mask_chunks:
+                w, p = _remask(w, p, chunk, kernel.ratio)
+            dest = tuple(slice(None) if m else slice(0, c) for m in masked)
+        nxt[dest] += w
+        reached[dest] |= p
+    return nxt, reached
+
+
+def _remask(
+    w: np.ndarray, p: np.ndarray, chunk: tuple[int, ...], ratio: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """One masked chunk's re-mask step on a content-layer tensor: its axes
+    grow from C to C+1, keeping each token with 1 - ratio or moving the
+    chunk's whole mass to MASK with ratio."""
+    c = w.shape[chunk[0]]
+    shape = tuple(c + 1 if i in chunk else size for i, size in enumerate(w.shape))
+    keep = tuple(slice(0, c) if i in chunk else slice(None) for i in range(w.ndim))
+    gone = tuple(slice(c, None) if i in chunk else slice(None) for i in range(w.ndim))
+    out, reached = np.zeros(shape), np.zeros(shape, dtype=bool)
+    out[keep] = w * (1.0 - ratio)
+    out[gone] = ratio * w.sum(axis=chunk, keepdims=True)
+    reached[keep] = p & (1.0 - ratio > 0.0)
+    reached[gone] = p.any(axis=chunk, keepdims=True) & (ratio > 0.0)
+    return out, reached
 
 
 # ---------------------------------------------------------------------------
@@ -433,9 +507,6 @@ def sample(
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
 
-    def draw(row: np.ndarray) -> tuple[int]:
-        return (draw_category(row, rng),)
-
     def remask_or_keep(row: tuple[float, float]) -> tuple[int]:
         return (0 if rng.random() < row[0] else 1,)
 
@@ -443,8 +514,14 @@ def sample(
     x = SequenceState.all_masked(alphabet, cfg.steps)
     while x.time > 0:
         law = _step_law(dm, copula, x, cfg)
-        [(tokens, x_t, _)] = _outcomes(law, draw, remask_or_keep)
+        tokens: tuple[int, ...] = ()
+        for i, tok in enumerate(x.tokens[: law.fill]):
+            tokens += (draw_category(law.row(i, tokens), rng) if tok == alphabet.mask_index else tok,)
         x_tilde = None if law.remask is None else tokens
+        if x_tilde is None:  # positions past the fill are MASK in x and stay so
+            x_t = SequenceState(tokens + x.tokens[law.fill:], law.t, alphabet)
+        else:
+            [(x_t, _)] = law.remask.outcomes(tokens, remask_or_keep)
         trace.steps.append(
             StepRecord(x, x_t, x_tilde, law.factors, law.full, law.causal, law.copula_queries)
         )
@@ -456,6 +533,20 @@ def sample(
 # Exact per-step law (enumeration)
 # ---------------------------------------------------------------------------
 
+def _point_mass(
+    dm: DiffusionMarginalModel | None, copula: ARCopulaModel | None, x_next: SequenceState,
+    cfg: SamplerConfig,
+) -> tuple[PatternRows, np.ndarray, np.ndarray]:
+    """cfg.mode's pattern rows and (weights, present) with all mass on x_next."""
+    alphabet = check_models(dm, copula, cfg.mode)
+    if x_next.alphabet != alphabet:
+        raise AlphabetMismatchError("model table and state disagree on the alphabet")
+    states = alphabet.with_mask()  # CapExceededError past ENUMERATION_CAP states
+    weights = np.zeros((states.num_categories,) * states.num_positions)
+    weights[x_next.tokens] = 1.0
+    return PatternRows(dm, copula, cfg.mode), weights, weights > 0.0
+
+
 def enumerate_aux_distribution(
     dm: DiffusionMarginalModel | None,
     copula: ARCopulaModel | None,
@@ -463,11 +554,13 @@ def enumerate_aux_distribution(
     cfg: SamplerConfig,
 ) -> dict[tuple[int, ...], float]:
     """Exact law of the content layer x~_t produced by one dcd or
-    diffusion_only step at x_{t+1}."""
+    diffusion_only step at x_{t+1}: `dense_step` from x_{t+1} alone, stopped
+    before the re-mask. It holds all (C+1)^N states in one tensor, so above
+    ENUMERATION_CAP (10^7) states it raises CapExceededError."""
     if cfg.mode not in (MODE_DCD, MODE_DIFFUSION_ONLY):
         raise InvalidDistributionError(f"no aux layer to enumerate for mode {cfg.mode!r}")
-    check_models(dm, copula, cfg.mode)
-    return dict(_walk(_step_law(dm, copula, x_next, cfg), positive_options))
+    [(*_, w, p)] = _content_layers(*_point_mass(dm, copula, x_next, cfg), x_next.time, cfg)
+    return {tuple(idx): float(w[tuple(idx)]) for idx in np.argwhere(p).tolist()}
 
 
 def enumerate_step_distribution(
@@ -476,13 +569,13 @@ def enumerate_step_distribution(
     x_next: SequenceState,
     cfg: SamplerConfig,
 ) -> dict[SequenceState, float]:
-    """Exact law of x_t produced by one step of cfg.mode at x_{t+1}. ar_only
-    has no such law: its single step runs from the prior straight to time 0."""
+    """Exact law of x_t produced by one step of cfg.mode at x_{t+1}:
+    `dense_step` from x_{t+1} alone. It holds all (C+1)^N states in one
+    tensor, so above ENUMERATION_CAP (10^7) states it raises
+    CapExceededError. ar_only has no such law: its single step runs from the
+    prior straight to time 0."""
     if cfg.mode == MODE_AR_ONLY:
         raise InvalidDistributionError(f"no per-step law for mode {cfg.mode!r}")
-    check_models(dm, copula, cfg.mode)
-    law = _step_law(dm, copula, x_next, cfg)
-    out: dict[SequenceState, float] = defaultdict(float)
-    for _, x_t, weight in _outcomes(law, positive_options, positive_options):
-        out[x_t] += weight
-    return dict(out)
+    weights, present = dense_step(*_point_mass(dm, copula, x_next, cfg), x_next.time, cfg)
+    return {SequenceState(tuple(idx), x_next.time - 1, x_next.alphabet): float(weights[tuple(idx)])
+            for idx in np.argwhere(present).tolist()}

@@ -18,8 +18,8 @@ from maskdiff.dist import (
 )
 from maskdiff.iproj import IPF_TOL, FactorMatrix, IprojReport
 from maskdiff.models import ARCopulaModel, DiffusionMarginalModel
-from maskdiff.noising import SequenceState
-from maskdiff.sampler import SamplerConfig, check_models, enumerate_step_distribution
+from maskdiff.noising import SequenceState, positive_options
+from maskdiff.sampler import SamplerConfig, StepLaw, _step_law, check_models
 
 # finite betas where beta * V itself overflows a float
 HUGE_BETAS = (1e307, 1e308, sys.float_info.max)
@@ -53,18 +53,67 @@ def lex_states(n: int, k: int) -> list[tuple[int, ...]]:
     return states
 
 
+def walk(law: StepLaw) -> list[tuple[tuple[int, ...], float]]:
+    """Content layers of `law` with their weights, one state at a time:
+    filled left to right and breadth-first, each path extends by every
+    category its row gives mass. Paths come out in lexicographic order."""
+    mask = law.x_next.alphabet.mask_index
+    paths: list[tuple[tuple[int, ...], float]] = [((), 1.0)]
+    for i, tok in enumerate(law.x_next.tokens[: law.fill]):
+        if tok != mask:
+            paths = [(prefix + (tok,), weight) for prefix, weight in paths]
+            continue
+        grown = []
+        for prefix, weight in paths:
+            row = law.row(i, prefix)
+            grown.extend((prefix + (cat,), weight * float(row[cat])) for cat in positive_options(row))
+        paths = grown
+    return paths
+
+
+def aux_by_enumeration(
+    dm: DiffusionMarginalModel | None, copula: ARCopulaModel | None,
+    x_next: SequenceState, cfg: SamplerConfig,
+) -> dict[tuple[int, ...], float]:
+    """The content-layer law of one step at x_next by `walk`: the oracle for
+    `enumerate_aux_distribution`."""
+    check_models(dm, copula, cfg.mode)
+    return dict(walk(_step_law(dm, copula, x_next, cfg)))
+
+
+def step_by_enumeration(
+    dm: DiffusionMarginalModel | None, copula: ARCopulaModel | None,
+    x_next: SequenceState, cfg: SamplerConfig,
+) -> dict[SequenceState, float]:
+    """The law of x_t after one step at x_next by `walk`, then every re-mask
+    outcome with mass or, without a kernel, MASK past the fill: the oracle
+    for `enumerate_step_distribution`."""
+    check_models(dm, copula, cfg.mode)
+    law = _step_law(dm, copula, x_next, cfg)
+    alphabet = x_next.alphabet
+    pad = (alphabet.mask_index,) * (alphabet.num_positions - law.fill)
+    out: dict[SequenceState, float] = defaultdict(float)
+    for tokens, weight in walk(law):
+        if law.remask is None:
+            out[SequenceState(tokens + pad, law.t, alphabet)] += weight
+            continue
+        for x_t, p in law.remask.outcomes(tokens, positive_options):
+            out[x_t] += weight * p
+    return dict(out)
+
+
 def induced_by_enumeration(
     dm: DiffusionMarginalModel | None, copula: ARCopulaModel | None, cfg: SamplerConfig
 ) -> JointTable:
     """The induced law by the per-state dynamic programme: a dict from state
-    to weight, advanced by one `enumerate_step_distribution` call per state.
-    The oracle for `induced_distribution`'s dense pass (not for ar_only)."""
+    to weight, advanced by one `step_by_enumeration` call per state. The
+    oracle for `induced_distribution`'s dense pass (not for ar_only)."""
     alphabet = check_models(dm, copula, cfg.mode)
     current = {SequenceState.all_masked(alphabet, cfg.steps): 1.0}
     for _ in range(cfg.steps):
         nxt: dict[SequenceState, float] = defaultdict(float)
         for state, weight in current.items():
-            for nxt_state, p in enumerate_step_distribution(dm, copula, state, cfg).items():
+            for nxt_state, p in step_by_enumeration(dm, copula, state, cfg).items():
                 nxt[nxt_state] += weight * p
         current = dict(nxt)
     probs = np.zeros(alphabet.num_states, dtype=np.float64)

@@ -538,3 +538,26 @@ def test_output_path_that_cannot_be_created_is_exit_2(tmp_path, data_file, capsy
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, blocker", [
+    (["sample", "--data", "{d}", "--trace", "{o}/tdir"], "tdir"),
+    (["sweep", "--data", "{d}"], "plot_kl_dcd_beta1.0.tsv"),
+    (["fit", "--sample-from", "{d}", "--out", "{o}/m.json"], "m.json"),
+    (["fit", "--from-table", "{o}/missing.json", "--out", "{o}/new/m.json"], None),
+    (["fit", "--sample-from", "{o}/missing.json", "--out", "{o}/new/m.json"], None),
+], ids=["sample-trace-is-a-dir", "sweep-plot-is-a-dir", "fit-out-is-a-dir",
+        "fit-from-missing-table", "fit-sample-from-missing-table"])
+def test_failed_command_leaves_no_file_behind(tmp_path, data_file, capsys, argv, blocker):
+    # a directory where one output should go, or an input that fails validation
+    out_dir = tmp_path / "o"
+    out_dir.mkdir()
+    if blocker:
+        (out_dir / blocker).mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert run(["--out-dir", str(out_dir)] + [a.format(d=data_file, o=out_dir) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert "wrote" not in captured.out
+    assert sorted(tmp_path.rglob("*")) == before

@@ -1,9 +1,13 @@
-"""The dense induced-law pass against the per-state dynamic programme.
+"""The dense step against the per-state walk.
 
-`induced_distribution` moves every state that shares a mask pattern in one
-tensor pass. `induced_by_enumeration` (tests/_helpers.py) is the per-state
-programme it replaced, built on `enumerate_step_distribution`; the two must
-agree on the law, and on whether a MaskDiffError is raised and of which class.
+`sampler.dense_step` moves every state that shares a mask pattern in one
+tensor pass; `induced_distribution` runs it from time T to 0, and the two
+enumerators run one step of it from a single state. The oracles in
+tests/_helpers.py walk the same step laws one state at a time:
+`induced_by_enumeration` is the per-state programme the dense pass
+replaced, and `step_by_enumeration` and `aux_by_enumeration` are the
+per-state enumerators. Each pair must agree on the law, and on whether a
+MaskDiffError is raised and of which class.
 """
 
 from __future__ import annotations
@@ -15,15 +19,31 @@ import pytest
 
 from maskdiff import sampler as sampler_mod
 from maskdiff.dist import Alphabet, JointTable
-from maskdiff.errors import MaskDiffError, SupportError
+from maskdiff.errors import AlphabetMismatchError, MaskDiffError, SupportError
 from maskdiff.harness import EXACT_INDUCED_CAP, SyntheticSpec, gen_data, induced_distribution
 from maskdiff.models import ARCopulaModel, DiffusionMarginalModel
-from maskdiff.noising import make_schedule
-from maskdiff.sampler import MODE_AR_ONLY, MODES, SamplerConfig
+from maskdiff.noising import SequenceState, make_schedule
+from maskdiff.sampler import (
+    MODE_AR_ONLY,
+    MODE_DCD,
+    MODE_DIFFUSION_ONLY,
+    MODES,
+    SamplerConfig,
+    enumerate_aux_distribution,
+    enumerate_step_distribution,
+)
 
-from _helpers import HUGE_BETAS, induced_by_enumeration, random_table, zero_table
+from _helpers import (
+    HUGE_BETAS,
+    aux_by_enumeration,
+    induced_by_enumeration,
+    random_table,
+    step_by_enumeration,
+    zero_table,
+)
 
 DENSE_MODES = tuple(mode for mode in MODES if mode != MODE_AR_ONLY)
+AUX_MODES = (MODE_DCD, MODE_DIFFUSION_ONLY)
 SHAPES = ((2, 2), (3, 4), (4, 3), (5, 2))
 # 3 divides none of N = 2, 4, 5, and 2 does not divide N = 3 or 5
 CHUNKS = (1, 2, 3)
@@ -74,9 +94,9 @@ def test_dense_law_matches_enumeration_across_chunks_and_betas(n, c, mode, chunk
 
 def test_induced_distribution_enumerates_no_state(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("enumerate_step_distribution was called")
+        raise AssertionError("a per-state step law was built")
 
-    monkeypatch.setattr(sampler_mod, "enumerate_step_distribution", refuse)
+    monkeypatch.setattr(sampler_mod, "_step_law", refuse)
     dm, cop = models(3, 2)
     for mode in DENSE_MODES:
         induced_distribution(dm, cop, config(mode, 3, chunk=2))
@@ -149,3 +169,79 @@ def test_dense_and_enumeration_raise_alike_on_random_tables_with_zeros():
             continue
         seen.append(assert_same_outcome(dm, cop, config(mode, steps, chunk, beta)))
     assert seen.count("SupportError") >= 5 and seen.count(None) >= 5
+
+
+# ---------------------------------------------------------------------------
+# Per-step laws: the enumerators against the per-state walk
+# ---------------------------------------------------------------------------
+
+def enumerator_pairs(mode: str):
+    """(enumerator, its per-state oracle) for each law `mode` has."""
+    pairs = [(enumerate_step_distribution, step_by_enumeration)]
+    if mode in AUX_MODES:
+        pairs.append((enumerate_aux_distribution, aux_by_enumeration))
+    return pairs
+
+
+def reached_states(dm, cop, cfg: SamplerConfig) -> list[SequenceState]:
+    """Every state the per-state programme reaches from the all-MASK state
+    at time T, down to time 1, in (time, token) order; a state whose step
+    raises is kept and not expanded."""
+    frontier = {SequenceState.all_masked(dm.alphabet, cfg.steps)}
+    seen = []
+    for _ in range(cfg.steps):
+        seen.extend(sorted(frontier, key=lambda state: state.tokens))
+        laws = [outcome(lambda: step_by_enumeration(dm, cop, state, cfg)) for state in frontier]
+        frontier = {x for law in laws if not isinstance(law, str) for x in law}
+    return seen
+
+
+def assert_same_law(dense: dict, oracle: dict) -> None:
+    assert dense.keys() == oracle.keys()
+    assert max(abs(dense[key] - oracle[key]) for key in oracle) <= TOL
+
+
+@pytest.mark.parametrize("beta", BETAS)
+@pytest.mark.parametrize("chunk", (1, 2))
+@pytest.mark.parametrize("mode", DENSE_MODES)
+@pytest.mark.parametrize("n, c", ((2, 2), (3, 3), (4, 2)))
+def test_enumerators_match_the_per_state_walk_at_every_reached_state(n, c, mode, chunk, beta):
+    dm, cop = models(n, c, seed=3)
+    cfg = config(mode, 3, chunk, beta)
+    states = reached_states(dm, cop, cfg)
+    assert len(states) > 1
+    for x_next in states:
+        for enumerate_law, oracle in enumerator_pairs(mode):
+            assert_same_law(enumerate_law(dm, cop, x_next, cfg), oracle(dm, cop, x_next, cfg))
+
+
+def test_enumerators_and_the_walk_raise_alike_on_random_tables_with_zeros():
+    rng = np.random.default_rng(813)
+    seen = []
+    for _ in range(60):
+        c = int(rng.integers(2, 4))
+        n = int(rng.integers(1, 5 if c == 2 else 4))
+        dm = DiffusionMarginalModel.exact(zero_table(rng, n, c))
+        cop = ARCopulaModel.exact(dm.table if rng.random() < 0.5 else zero_table(rng, n, c))
+        cfg = config(DENSE_MODES[int(rng.integers(len(DENSE_MODES)))], int(rng.integers(1, 4)),
+                     int(rng.integers(1, n + 1)), float(rng.choice((0.0, 1.0, 1e3))))
+        for x_next in reached_states(dm, cop, cfg):
+            for enumerate_law, oracle in enumerator_pairs(cfg.mode):
+                dense = outcome(lambda: enumerate_law(dm, cop, x_next, cfg))
+                expected = outcome(lambda: oracle(dm, cop, x_next, cfg))
+                if isinstance(expected, str):
+                    assert dense == expected
+                else:
+                    assert_same_law(dense, expected)
+                seen.append(expected if isinstance(expected, str) else None)
+    assert seen.count("SupportError") >= 5 and seen.count(None) >= 5
+
+
+@pytest.mark.parametrize("mode", DENSE_MODES)
+def test_enumerators_reject_a_state_over_another_alphabet(mode):
+    dm, cop = models(2, 2)
+    for alphabet in (Alphabet(2, 3), Alphabet(3, 2)):
+        x_next = SequenceState.all_masked(alphabet, 2)
+        for enumerate_law, _ in enumerator_pairs(mode):
+            with pytest.raises(AlphabetMismatchError):
+                enumerate_law(dm, cop, x_next, config(mode, 2))

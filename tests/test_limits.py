@@ -20,7 +20,7 @@ from maskdiff.dist import (
     MarginalSet,
     univariate_marginals,
 )
-from maskdiff.errors import MaskDiffError
+from maskdiff.errors import CapExceededError, MaskDiffError
 from maskdiff.iproj import apply_factors, iproject_exact
 from maskdiff.harness import (
     EXACT_INDUCED_CAP,
@@ -29,16 +29,24 @@ from maskdiff.harness import (
     induced_distribution,
 )
 from maskdiff.models import ARCopulaModel, DiffusionMarginalModel
-from maskdiff.noising import make_schedule
+from maskdiff.noising import SequenceState, make_schedule
 from maskdiff.sampler import (
     MODE_AR_ONLY,
     MODES,
     SamplerConfig,
+    enumerate_aux_distribution,
     enumerate_step_distribution,
     sample,
 )
 
-from _helpers import HUGE_BETAS, random_rows, random_table, zero_table
+from _helpers import (
+    HUGE_BETAS,
+    aux_by_enumeration,
+    random_rows,
+    random_table,
+    step_by_enumeration,
+    zero_table,
+)
 
 BATTERY_BETAS = (0.0, 1.0, 1e3, 1e6)
 
@@ -126,6 +134,25 @@ def test_dcd_samples_at_the_enumeration_cap():
     cfg = SamplerConfig(2, make_schedule("linear", 2), "dcd", seed=810)
     x0, _ = sample(dm, cop, cfg)
     assert x0.time == 0 and data.alphabet.mask_index not in x0.tokens
+
+
+@pytest.mark.parametrize("n", [14, 15])
+def test_enumerators_hold_every_state_up_to_the_enumeration_cap(n):
+    # the dense step holds all (C+1)^N states: 3^14 fit under the cap, 3^15 do not
+    assert 3**14 <= ENUMERATION_CAP < 3**15
+    data = random_table(np.random.default_rng(814), n, 2, floor=True)
+    dm, cop = DiffusionMarginalModel.exact(data), ARCopulaModel.exact(data)
+    cfg = SamplerConfig(2, make_schedule("linear", 2), "dcd")
+    x_next = SequenceState((2,) + (0,) * (n - 1), 2, data.alphabet)  # position 0 masked
+    for enumerate_law, oracle in ((enumerate_step_distribution, step_by_enumeration),
+                                  (enumerate_aux_distribution, aux_by_enumeration)):
+        if n == 15:
+            with pytest.raises(CapExceededError):
+                enumerate_law(dm, cop, x_next, cfg)
+            continue
+        law, expected = enumerate_law(dm, cop, x_next, cfg), oracle(dm, cop, x_next, cfg)
+        assert law.keys() == expected.keys() and len(law) > 1
+        assert max(abs(law[key] - expected[key]) for key in law) <= 1e-15
 
 
 def test_ipf_projects_a_million_state_table():

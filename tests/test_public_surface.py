@@ -1,6 +1,8 @@
-"""Public surface: every name the package re-exports has a caller outside
-`__init__.py` in the library or the benchmark, so no public function lives
-only for its own unit test: an export that nothing reads fails this test."""
+"""Public surface: every name the package re-exports, and every public
+module-level function and class of the library, has a reader outside
+`__init__.py` in the library or the benchmark (or is a layer the
+benchmark's tracer names), so no public function lives only for its own
+unit test: a public name that nothing reads fails this test."""
 
 from __future__ import annotations
 
@@ -34,6 +36,31 @@ def _loaded() -> set[str]:
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 names.add(node.attr)
     return names
+
+
+def _traced() -> set[tuple[str, str]]:
+    """The (module, function) pairs of `TRACED` in perfbench/tracing.py."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    [value] = [node.value for node in tree.body
+               if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TRACED"]
+    return set(ast.literal_eval(value))
+
+
+def _public_definitions() -> set[tuple[str, str]]:
+    """(module, name) of every public module-level function and class."""
+    return {
+        (path.stem, node.name)
+        for path in PACKAGE.glob("*.py")
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+
+
+def test_every_public_definition_has_a_reader():
+    loaded, traced = _loaded(), _traced()
+    unread = {(mod, name) for mod, name in _public_definitions()
+              if name not in loaded and (mod, name) not in traced}
+    assert not unread, sorted(unread)
 
 
 def test_every_export_has_a_caller():
