@@ -30,7 +30,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -65,18 +65,16 @@ def format_float_short(x: float) -> str:
 
 @dataclass(frozen=True)
 class Alphabet:
-    """Shape of the variable space: num_positions variables, num_categories
-    data categories each. The mask token is the extra index num_categories;
-    it exists only in sequence states, never in data tables over this
-    alphabet. num_positions = 0 arises only as the remainder of conditioning
-    on every position."""
+    """Shape of the variable space: num_positions >= 1 variables with
+    num_categories >= 2 data categories each. The mask token, the extra index
+    num_categories, exists only in sequence states, never in data tables."""
 
     num_positions: int
     num_categories: int
 
     def __post_init__(self) -> None:
-        if self.num_positions < 0:
-            raise InvalidDistributionError("num_positions must be >= 0")
+        if self.num_positions < 1:
+            raise InvalidDistributionError("num_positions must be >= 1")
         if self.num_categories < 2:
             raise InvalidDistributionError("num_categories must be >= 2")
         if self.num_categories ** self.num_positions > ENUMERATION_CAP:
@@ -187,15 +185,14 @@ class MarginalSet:
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.rows, dtype=np.float64)
-        if arr.ndim != 2:
-            raise InvalidDistributionError("marginal rows must be a 2-D array")
+        if arr.ndim != 2 or not arr.shape[0]:
+            raise InvalidDistributionError("marginal rows must be a 2-D array with at least one row")
         if not np.all(np.isfinite(arr)) or arr.min(initial=0.0) < 0.0:
             raise InvalidDistributionError("marginal rows must be finite and nonnegative")
         sums = arr.sum(axis=1)
-        if arr.shape[0] and np.max(np.abs(sums - 1.0)) > NORMALIZATION_TOL:
+        if np.max(np.abs(sums - 1.0)) > NORMALIZATION_TOL:
             raise InvalidDistributionError("each marginal row must sum to 1 within 1e-12")
-        if arr.shape[0]:
-            arr = arr / sums[:, None]
+        arr = arr / sums[:, None]
         arr.setflags(write=False)
         object.__setattr__(self, "rows", arr)
 
@@ -228,7 +225,11 @@ def kl(p: JointTable, q: JointTable) -> float:
     mask = p.probs > 0.0
     if np.any(q.probs[mask] == 0.0):
         raise SupportError("q vanishes on the support of p (KL undefined)")
-    val = float(np.sum(p.probs[mask] * (np.log(p.probs[mask]) - np.log(q.probs[mask]))))
+    return _divergence(p.probs[mask], np.log(q.probs[mask]))
+
+
+def _divergence(p_support: np.ndarray, log_q: np.ndarray) -> float:
+    val = float(np.sum(p_support * (np.log(p_support) - log_q)))
     if val < -1e-9:
         raise InvalidDistributionError(f"KL evaluated to {val}, below rounding slack")
     return max(val, 0.0)
@@ -269,15 +270,19 @@ def product_table(marginals: MarginalSet, alphabet: Alphabet | None = None) -> J
 
 
 def total_correlation(p: JointTable) -> float:
-    """KL between p and the product of its univariate marginals (>= 0)."""
-    return kl(p, product_table(univariate_marginals(p), p.alphabet))
+    """KL between p and the product of its univariate marginals, with the
+    product's log summed from the log marginals so that it cannot underflow."""
+    rows = univariate_marginals(p).rows
+    log_product = reduce(np.add.outer, np.log(rows, out=np.zeros_like(rows), where=rows > 0.0))
+    mask = p.probs > 0.0
+    return _divergence(p.probs[mask], log_product.ravel()[mask])
 
 
 def condition(p: JointTable, evidence: Mapping[int, int]) -> JointTable:
     """Exact conditional over the remaining positions given fixed values.
 
-    Empty evidence returns p itself; full evidence returns the empty-remainder
-    point mass (a table over zero positions with probability 1).
+    Empty evidence returns p itself. Evidence must leave a position free:
+    fixing every position is an InvalidDistributionError.
     """
     if not evidence:
         return p
@@ -287,6 +292,8 @@ def condition(p: JointTable, evidence: Mapping[int, int]) -> JointTable:
             raise AlphabetMismatchError(f"evidence position {pos} out of range")
         if not 0 <= cat < k:
             raise InvalidDistributionError(f"evidence value {cat} out of range")
+    if len(evidence) == n:
+        raise InvalidDistributionError("evidence fixes every position; no position is left")
     idx = tuple(evidence.get(i, slice(None)) for i in range(n))
     sub = np.asarray(p.tensor()[idx], dtype=np.float64)
     mass = float(sub.sum())
@@ -304,8 +311,7 @@ def total_variation(p: JointTable, q: JointTable) -> float:
 def sample_states(p: JointTable, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n i.i.d. assignments, returned as an (n, N) int array."""
     idx = rng.choice(p.alphabet.num_states, size=n, p=p.probs)
-    tokens = np.unravel_index(idx, p.tensor().shape) if p.num_positions else ()
-    return np.array(tokens, dtype=np.int64).reshape(p.num_positions, n).T.copy()
+    return np.array(np.unravel_index(idx, p.tensor().shape), dtype=np.int64).T.copy()
 
 
 # ---------------------------------------------------------------------------

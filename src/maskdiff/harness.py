@@ -46,7 +46,13 @@ from .dist import (
     state_to_index,
     univariate_marginals,
 )
-from .errors import CapExceededError, InvalidDistributionError, ScheduleError, SupportError
+from .errors import (
+    AlphabetMismatchError,
+    CapExceededError,
+    InvalidDistributionError,
+    ScheduleError,
+    SupportError,
+)
 from .models import ARCopulaModel, DiffusionMarginalModel, ar_chain_table
 from .noising import (
     NoiseSchedule,
@@ -84,8 +90,6 @@ class SyntheticSpec:
     def __post_init__(self) -> None:
         if self.kind not in DATA_KINDS:
             raise InvalidDistributionError(f"unknown data kind {self.kind!r}")
-        if self.num_positions < 1:
-            raise InvalidDistributionError("num_positions must be >= 1")
         if not 0.0 <= self.correlation_strength <= 1.0:
             raise InvalidDistributionError("correlation_strength must lie in [0, 1]")
         if self.seed < 0:
@@ -188,8 +192,7 @@ def elbo_bound(data: JointTable, sched: NoiseSchedule) -> float:
 
 _BOUND_FAULTS = {
     1: (SupportError, "x_t is unreachable under the forward process"),
-    2: (SupportError, "a reverse posterior's marginal product vanishes on its support"),
-    3: (InvalidDistributionError, "a reverse posterior's TC is below rounding slack"),
+    2: (InvalidDistributionError, "a reverse posterior's TC is below rounding slack"),
 }
 
 
@@ -211,15 +214,15 @@ def _pattern_tc(
     axes = tuple(i for chunk in chunks for i in chunk)
     z = p.sum(axis=axes, keepdims=True)
     post = np.divide(p, z, out=np.zeros_like(p), where=z > 0.0)
-    product = np.ones(())
-    for i in axes:
-        product = product * post.sum(axis=tuple(j for j in axes if j != i), keepdims=True)
-    support = post > 0.0
-    covered = support & (product > 0.0)
-    logs = np.log(np.where(covered, post, 1.0)) - np.log(np.where(covered, product, 1.0))
-    tc = np.sum(np.where(covered, post * logs, 0.0), axis=axes, keepdims=True)
-    fault = np.where(tc < -1e-9, 3, 0).astype(np.int8)
-    fault[np.any(support & ~covered, axis=axes, keepdims=True)] = 2
+    marginals = [post.sum(axis=tuple(j for j in axes if j != i), keepdims=True) for i in axes]
+    product, support = math.prod(marginals), post > 0.0
+    log_product = np.log(np.where(support & (product > 0.0), product, 1.0))
+    if np.any(support & (product <= 0.0)):  # underflow: sum the log marginals
+        log_sum = sum(np.log(m, out=np.zeros_like(m), where=m > 0.0) for m in marginals)
+        log_product = np.where(product > 0.0, log_product, log_sum)
+    logs = np.log(np.where(support, post, 1.0)) - log_product
+    tc = np.sum(np.where(support, post * logs, 0.0), axis=axes, keepdims=True)
+    fault = np.where(tc < -1e-9, 2, 0).astype(np.int8)
     fault[z <= 0.0] = 1
     return np.maximum(tc, 0.0), fault
 
@@ -409,6 +412,8 @@ def run_sweep(
                 for beta in betas
             )
             alphabet = check_models(dm, copula, mode)
+            if alphabet != data.alphabet:
+                raise AlphabetMismatchError("the models' alphabet differs from the data table's")
             if mode != MODE_AR_ONLY:
                 _check_exact_cap(alphabet, steps)
     bound_cache: dict[int, float] = {}

@@ -89,13 +89,7 @@ def _logsumexp(values: np.ndarray) -> float:
     return m + float(np.log(np.sum(np.exp(values - m))))
 
 
-def _check_positions(p_est: JointTable) -> None:
-    if p_est.num_positions < 1:
-        raise InvalidDistributionError("a projection needs num_positions >= 1")
-
-
 def _check_shapes(p_est: JointTable, v: FactorMatrix) -> None:
-    _check_positions(p_est)
     if v.values.shape != (p_est.num_positions, p_est.num_categories):
         raise AlphabetMismatchError(f"factor matrix shape {v.values.shape} does not match the table")
 
@@ -135,7 +129,6 @@ def apply_factors(p_est: JointTable, v: FactorMatrix) -> tuple[JointTable, float
 
 
 def _check_target(p_est: JointTable, target: MarginalSet) -> None:
-    _check_positions(p_est)
     if target.includes_mask:
         raise InvalidDistributionError("target marginals must be data-only")
     if target.rows.shape != (p_est.num_positions, p_est.num_categories):

@@ -58,8 +58,8 @@ def fit_counts_table(
     """Additively smoothed empirical joint table from an (M, N) corpus."""
     seqs = np.asarray(sequences, dtype=np.int64)
     n, c = alphabet.num_positions, alphabet.num_categories
-    if n < 1 or seqs.ndim != 2 or seqs.shape[1] != n:
-        raise AlphabetMismatchError("a corpus must be (M, num_positions) with num_positions >= 1")
+    if seqs.ndim != 2 or seqs.shape[1] != n:
+        raise AlphabetMismatchError("a corpus must be (M, num_positions)")
     if seqs.size and (seqs.min() < 0 or seqs.max() >= c):
         raise InvalidDistributionError("corpus tokens out of range")
     if not (smoothing >= 0.0 and math.isfinite(smoothing)):
@@ -129,10 +129,6 @@ class _TableModel:
     table: JointTable
     kind: str = KIND_EXACT
     _query_cache: _QueryCache = field(default_factory=_QueryCache, init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.table.num_positions < 1:
-            raise InvalidDistributionError("a model needs num_positions >= 1")
 
     @property
     def alphabet(self) -> Alphabet:

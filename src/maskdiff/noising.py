@@ -175,20 +175,20 @@ class SequenceState:
 
 
 def aux_posterior(data: JointTable, x_next: SequenceState) -> JointTable:
-    """Exact q(x~_t | x_{t+1}) over the data alphabet: condition the data
-    distribution on the unmasked tokens of x_{t+1} and clamp them. The result
-    does not depend on t or the schedule."""
+    """Exact q(x~_t | x_{t+1}), which depends on neither t nor the schedule:
+    the data table conditioned on the unmasked tokens of x_{t+1}, clamped."""
     if data.alphabet != x_next.alphabet:
         raise AlphabetMismatchError("data table and state disagree on the alphabet")
     unmasked = x_next.unmasked_positions
     if not unmasked:
         return data
     evidence = {j: x_next.tokens[j] for j in unmasked}
-    cond = condition(data, evidence)  # raises SupportError on zero evidence
     n, k = data.num_positions, data.num_categories
     full = np.zeros((k,) * n, dtype=np.float64)
     idx = tuple(evidence.get(i, slice(None)) for i in range(n))
-    full[idx] = cond.tensor()
+    if len(unmasked) == n and data.tensor()[idx] == 0.0:
+        raise SupportError(f"evidence {evidence} has zero probability")
+    full[idx] = 1.0 if len(unmasked) == n else condition(data, evidence).tensor()
     return JointTable(data.alphabet, full.ravel())
 
 

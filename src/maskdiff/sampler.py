@@ -555,8 +555,7 @@ def enumerate_aux_distribution(
 ) -> dict[tuple[int, ...], float]:
     """Exact law of the content layer x~_t produced by one dcd or
     diffusion_only step at x_{t+1}: `dense_step` from x_{t+1} alone, stopped
-    before the re-mask. It holds all (C+1)^N states in one tensor, so above
-    ENUMERATION_CAP (10^7) states it raises CapExceededError."""
+    before the re-mask; its cost and cap are enumerate_step_distribution's."""
     if cfg.mode not in (MODE_DCD, MODE_DIFFUSION_ONLY):
         raise InvalidDistributionError(f"no aux layer to enumerate for mode {cfg.mode!r}")
     [(*_, w, p)] = _content_layers(*_point_mass(dm, copula, x_next, cfg), x_next.time, cfg)
@@ -570,10 +569,10 @@ def enumerate_step_distribution(
     cfg: SamplerConfig,
 ) -> dict[SequenceState, float]:
     """Exact law of x_t produced by one step of cfg.mode at x_{t+1}:
-    `dense_step` from x_{t+1} alone. It holds all (C+1)^N states in one
-    tensor, so above ENUMERATION_CAP (10^7) states it raises
-    CapExceededError. ar_only has no such law: its single step runs from the
-    prior straight to time 0."""
+    `dense_step` from x_{t+1} alone. Moving one state fills all (C+1)^N
+    states and visits every mask pattern (about 0.2 s and 85 MB at (14, 2) on
+    a 2-vCPU host); above ENUMERATION_CAP (10^7) states it raises
+    CapExceededError. ar_only, whose one step runs to time 0, has no such law."""
     if cfg.mode == MODE_AR_ONLY:
         raise InvalidDistributionError(f"no per-step law for mode {cfg.mode!r}")
     weights, present = dense_step(*_point_mass(dm, copula, x_next, cfg), x_next.time, cfg)

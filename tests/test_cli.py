@@ -153,6 +153,14 @@ def test_eval_prints_metrics(tmp_path, data_file, capsys):
     assert "kl_to_data=" in out and "elbo_bound=" in out
 
 
+def test_eval_bound_is_finite_where_the_marginal_product_underflows(tmp_path, capsys):
+    data = tmp_path / "tiny.json"
+    data.write_text('{"version": 1, "N": 2, "C": 2, "probs": [1e-300, 1e-300, 1e-300, 1.0]}')
+    assert run(["eval", "--data", str(data), "--steps", "1"]) == 0
+    [bound] = re.findall(r"^elbo_bound=(.+)$", capsys.readouterr().out, re.M)
+    assert np.isfinite(float(bound))
+
+
 def test_sweep_outputs_and_byte_stability(tmp_path, data_file):
     dir_a = tmp_path / "a"
     dir_b = tmp_path / "b"

@@ -192,13 +192,20 @@ def test_condition_empty_evidence_unchanged():
     assert condition(p, {}) is p
 
 
-def test_condition_full_evidence_empty_remainder():
-    rng = np.random.default_rng(22)
-    p = random_table(rng, 2, 2, floor=True)
-    out = condition(p, {0: 1, 1: 0})
-    assert out.num_positions == 0
-    assert out.probs.shape == (1,)
-    assert out.probs[0] == 1.0
+@pytest.mark.parametrize("c", [2, 3])
+def test_every_table_has_a_position(c):
+    assert Alphabet(1, c).num_states == c
+    with pytest.raises(InvalidDistributionError, match="num_positions must be >= 1"):
+        Alphabet(0, c)
+    with pytest.raises(InvalidDistributionError, match="at least one row"):
+        MarginalSet(np.zeros((0, c)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_condition_refuses_evidence_on_every_position(n):
+    p = random_table(np.random.default_rng(22), n, 2, floor=True)
+    with pytest.raises(InvalidDistributionError, match="every position"):
+        condition(p, {i: 1 for i in range(n)})
 
 
 def test_condition_matches_filter_and_renormalize_oracle():

@@ -80,21 +80,6 @@ def test_apply_requires_positive_table():
         apply_factors(JointTable(Alphabet(2, 2), probs), FactorMatrix(np.zeros((2, 2))))
 
 
-@pytest.mark.parametrize("call", [
-    lambda p, v, t: apply_factors(p, v),
-    lambda p, v, t: iproject_exact(p, t),
-    lambda p, v, t: iproject_descent(p, t),
-    lambda p, v, t: objective(v, p, t),
-    lambda p, v, t: objective_gradient(v, p, t),
-], ids=["apply_factors", "iproject_exact", "iproject_descent", "objective", "objective_gradient"])
-def test_zero_position_table_is_an_invalid_distribution(call):
-    # Alphabet admits N = 0; a projection over no positions is refused
-    p = JointTable(Alphabet(0, 3), [1.0])
-    v, target = FactorMatrix(np.zeros((0, 3))), MarginalSet(np.zeros((0, 3)))
-    with pytest.raises(InvalidDistributionError, match="num_positions >= 1"):
-        call(p, v, target)
-
-
 def test_apply_reports_finite_log_z_where_z_overflows():
     # factors of size 1e3 put the total mass Z far past float64's range
     rng = np.random.default_rng(83)

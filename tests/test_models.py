@@ -15,7 +15,7 @@ from maskdiff.dist import (
     sample_states,
     univariate_marginals,
 )
-from maskdiff.errors import AlphabetMismatchError, InvalidDistributionError, SupportError
+from maskdiff.errors import InvalidDistributionError, SupportError
 from maskdiff.iproj import dcd_factors
 from maskdiff.models import (
     ARCopulaModel,
@@ -353,15 +353,6 @@ def test_fit_counts_with_tiny_smoothing_keeps_its_near_zeros():
 def test_fit_counts_rejects_smoothing_that_is_not_a_finite_mass(smoothing):
     with pytest.raises(InvalidDistributionError, match="smoothing"):
         fit_counts_table(np.array([[0, 1], [1, 0]]), Alphabet(2, 2), smoothing)
-
-
-def test_models_need_a_position():
-    empty = JointTable(Alphabet(0, 2), np.array([1.0]))
-    for cls in (DiffusionMarginalModel, ARCopulaModel):
-        with pytest.raises(InvalidDistributionError, match="num_positions"):
-            cls.exact(empty)
-    with pytest.raises(AlphabetMismatchError, match="num_positions"):
-        fit_counts_table(np.zeros((3, 0), dtype=np.int64), Alphabet(0, 2))
 
 
 def test_fit_counts_rejects_bad_tokens():

@@ -35,7 +35,7 @@ from maskdiff.noising import (
     renormalize_marginals,
 )
 
-from _helpers import lex_states, random_table, random_rows
+from _helpers import lex_states, random_table, random_rows, zero_table
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +104,24 @@ def test_aux_posterior_mask_free_is_point_mass():
     x_next = SequenceState((0, 1, 1), 2, data.alphabet)
     out = aux_posterior(data, x_next)
     assert out.prob((0, 1, 1)) == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("make", [random_table, zero_table])
+@pytest.mark.parametrize("n, c", [(2, 2), (3, 3)])
+def test_aux_posterior_at_a_mask_free_state_is_its_point_mass_or_a_support_error(make, n, c):
+    data = make(np.random.default_rng(23), n, c)
+    raised = 0
+    for k, tokens in enumerate(lex_states(n, c)):
+        x_next = SequenceState(tokens, 1, data.alphabet)
+        if data.probs[k] == 0.0:
+            with pytest.raises(SupportError):
+                aux_posterior(data, x_next)
+            raised += 1
+            continue
+        point = np.zeros(c**n)
+        point[k] = 1.0
+        assert np.array_equal(aux_posterior(data, x_next).probs, point), tokens
+    assert raised > 0 if make is zero_table else raised == 0
 
 
 def test_aux_posterior_matches_condition_and_clamp_oracle():
