@@ -21,6 +21,7 @@ from .dist import Alphabet, format_float_short, load_table, make_output_dirs, sa
 from .errors import ConfigError, MaskDiffError
 from .harness import (
     SyntheticSpec,
+    check_data_models,
     elbo_bound,
     expected_nll,
     gen_data,
@@ -249,6 +250,7 @@ def cmd_eval(args: argparse.Namespace, cfg: dict) -> int:
         raise ConfigError("eval needs --data to score against")
     scfg = _sampler_config(args, cfg)
     dm, copula, data = _resolve_models(args, [scfg.mode])
+    check_data_models(data, dm, copula, scfg.mode)
     induced = induced_distribution(dm, copula, scfg)
     klv = kl_to_data(data, induced.table)
     nll = expected_nll(data, induced.table)

@@ -2,6 +2,8 @@
 
 A distribution over N variables with K categories each is a dense float64
 array of length K**N in lexicographic order, position 0 most significant.
+Sequence states have K = C + 1 categories, the mask last, so rows over them
+carry the mask in their last column; a row set's width, not a flag, says so.
 Full enumeration is the point: every quantity below is computed exactly (up
 to float64 rounding), so these objects double as oracles for everything else
 in the package. The enumeration cap K**N <= 10**7 is enforced at construction.
@@ -177,11 +179,10 @@ class JointTable:
 
 @dataclass(frozen=True, eq=False)
 class MarginalSet:
-    """Per-position categorical distributions: rows (N, K). When includes_mask
-    is true, K = C + 1 and the final column is the mask state."""
+    """Per-position categorical distributions: rows (N, K). Rows over a
+    state alphabet have K = C + 1 and the mask in their last column."""
 
     rows: np.ndarray
-    includes_mask: bool = False
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.rows, dtype=np.float64)
@@ -195,16 +196,6 @@ class MarginalSet:
         arr = arr / sums[:, None]
         arr.setflags(write=False)
         object.__setattr__(self, "rows", arr)
-
-    @property
-    def num_positions(self) -> int:
-        return int(self.rows.shape[0])
-
-    @property
-    def num_categories(self) -> int:
-        """Number of data categories (mask column excluded)."""
-        k = int(self.rows.shape[1])
-        return k - 1 if self.includes_mask else k
 
 
 # ---------------------------------------------------------------------------
@@ -246,14 +237,14 @@ def position_sum(tensor: np.ndarray, i: int) -> np.ndarray:
     return tensor.sum(axis=tuple(j for j in range(tensor.ndim) if j != i))
 
 
-def univariate_marginals(p: JointTable, *, includes_mask: bool = False) -> MarginalSet:
-    """Exact per-position marginals. Set includes_mask when p lives on a
-    state alphabet whose last category is the mask."""
+def univariate_marginals(p: JointTable) -> MarginalSet:
+    """Exact per-position marginals, one row of p's K categories each; on a
+    state alphabet the last column is the mask's mass."""
     tensor = p.tensor()
     rows = np.empty((p.num_positions, p.num_categories), dtype=np.float64)
     for i in range(p.num_positions):
         rows[i] = position_sum(tensor, i)
-    return MarginalSet(rows, includes_mask=includes_mask)
+    return MarginalSet(rows)
 
 
 def product_table(marginals: MarginalSet, alphabet: Alphabet | None = None) -> JointTable:
@@ -270,12 +261,22 @@ def product_table(marginals: MarginalSet, alphabet: Alphabet | None = None) -> J
 
 
 def total_correlation(p: JointTable) -> float:
-    """KL between p and the product of its univariate marginals, with the
-    product's log summed from the log marginals so that it cannot underflow."""
-    rows = univariate_marginals(p).rows
-    log_product = reduce(np.add.outer, np.log(rows, out=np.zeros_like(rows), where=rows > 0.0))
-    mask = p.probs > 0.0
-    return _divergence(p.probs[mask], log_product.ravel()[mask])
+    """KL between p and the product of its univariate marginals (`kl_to_product`)."""
+    return kl_to_product(p, univariate_marginals(p))
+
+
+def kl_to_product(p: JointTable, marginals: MarginalSet) -> float:
+    """KL(p || product_table(marginals, p.alphabet)), with the product's log
+    summed from the log rows where it underflows to 0 on p's support."""
+    mask, rows = p.probs > 0.0, marginals.rows
+    q = product_table(marginals, p.alphabet).probs[mask]
+    log_q = np.log(np.where(q > 0.0, q, 1.0))
+    if np.any(q == 0.0):  # underflow, or a row that is 0 on the support
+        log_rows = np.log(rows, out=np.full_like(rows, -np.inf), where=rows > 0.0)
+        log_q[q == 0.0] = reduce(np.add.outer, log_rows).ravel()[mask][q == 0.0]
+        if np.isneginf(log_q).any():
+            raise SupportError("q vanishes on the support of p (KL undefined)")
+    return _divergence(p.probs[mask], log_q)
 
 
 def condition(p: JointTable, evidence: Mapping[int, int]) -> JointTable:

@@ -41,8 +41,8 @@ from .dist import (
     entropy,
     format_float_short,
     kl,
+    kl_to_product,
     make_output_dirs,
-    product_table,
     state_to_index,
     univariate_marginals,
 )
@@ -239,7 +239,7 @@ def optimal_factorized_denoiser(data: JointTable, sched: NoiseSchedule) -> Denoi
         if not 1 <= x_t.time <= sched.steps:
             raise ScheduleError(f"time {x_t.time} outside [1, {sched.steps}]")
         post = posterior_from_prior(priors[x_t.time - 1], x_t, sched)
-        return univariate_marginals(post, includes_mask=True)
+        return univariate_marginals(post)
 
     return rows
 
@@ -247,15 +247,12 @@ def optimal_factorized_denoiser(data: JointTable, sched: NoiseSchedule) -> Denoi
 def nelbo_factorized(
     data: JointTable, sched: NoiseSchedule, denoiser: DenoiserRows
 ) -> float:
-    """Exact negative ELBO of a factorized denoiser: H(data) plus the
-    expected KL from the true reverse posterior to the denoiser's product
-    distribution, summed over steps."""
+    """Exact negative ELBO of a factorized denoiser, whose rows are (N, C+1)
+    over the state alphabet: H(data) plus the expected KL from the true reverse
+    posterior to the denoiser's product distribution, summed over steps."""
     total = entropy(data)
     for x_t, weight, post in _posteriors(data, sched):
-        rows = denoiser(x_t)
-        if not rows.includes_mask:
-            raise InvalidDistributionError("denoiser rows must include the mask column")
-        total += weight * kl(post, product_table(rows, post.alphabet))
+        total += weight * kl_to_product(post, denoiser(x_t))
     return total
 
 
@@ -382,6 +379,16 @@ class ExperimentResult:
 CSV_HEADER = "mode,T,beta,kl_to_data,nll,elbo_bound,wall_ms"
 
 
+def check_data_models(
+    data: JointTable, dm: DiffusionMarginalModel | None, copula: ARCopulaModel | None, mode: str
+) -> Alphabet:
+    """`check_models` for `mode`, whose alphabet must be the data table's."""
+    alphabet = check_models(dm, copula, mode)
+    if alphabet != data.alphabet:
+        raise AlphabetMismatchError("the models' alphabet differs from the data table's")
+    return alphabet
+
+
 def run_sweep(
     data: JointTable,
     dm: DiffusionMarginalModel | None,
@@ -411,9 +418,7 @@ def run_sweep(
                               chunk_size=chunk_size)
                 for beta in betas
             )
-            alphabet = check_models(dm, copula, mode)
-            if alphabet != data.alphabet:
-                raise AlphabetMismatchError("the models' alphabet differs from the data table's")
+            alphabet = check_data_models(data, dm, copula, mode)
             if mode != MODE_AR_ONLY:
                 _check_exact_cap(alphabet, steps)
     bound_cache: dict[int, float] = {}

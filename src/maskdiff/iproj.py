@@ -44,6 +44,7 @@ from .dist import JointTable, MarginalSet, POSITIVITY_FLOOR, all_states, positio
 from .errors import AlphabetMismatchError, InvalidDistributionError, PositivityError
 
 IPF_TOL = 1e-10
+DESCENT_GRAD_TOL = 1e-10
 DEFAULT_IPF_MAX_SWEEPS = 10_000
 
 
@@ -129,8 +130,6 @@ def apply_factors(p_est: JointTable, v: FactorMatrix) -> tuple[JointTable, float
 
 
 def _check_target(p_est: JointTable, target: MarginalSet) -> None:
-    if target.includes_mask:
-        raise InvalidDistributionError("target marginals must be data-only")
     if target.rows.shape != (p_est.num_positions, p_est.num_categories):
         raise AlphabetMismatchError("target marginal shape does not match the table")
 
@@ -212,7 +211,6 @@ def _marginal_gap(w: np.ndarray, rows: np.ndarray) -> float:
 def iproject_descent(
     p_est: JointTable,
     target: MarginalSet,
-    grad_tol: float = 1e-10,
     max_iter: int = 100_000,
 ) -> tuple[FactorMatrix, IprojReport]:
     """First-order solve of the same objective: gradient descent with
@@ -240,7 +238,7 @@ def iproject_descent(
     recent = [obj]  # nonmonotone (Grippo) reference window
     iterations, converged = 0, False
     for _ in range(max_iter):
-        if float(np.max(np.abs(grad))) <= grad_tol:
+        if float(np.max(np.abs(grad))) <= DESCENT_GRAD_TOL:
             converged = True
             break
         step = 1.0
@@ -287,11 +285,7 @@ def rankwise_update(p_dm_rows: ArrayLike, p_copula_rows: ArrayLike) -> np.ndarra
 
 
 def dcd_factors(full: MarginalSet, causal: MarginalSet) -> FactorMatrix:
-    """V[i,c] = log(full-context row i) - log(causal-context row i), the
-    correction the sampler multiplies into the copula conditionals. Rows
-    vanish wherever the two contexts carry the same information."""
-    if full.includes_mask or causal.includes_mask:
-        raise InvalidDistributionError("factor rows are over data categories only")
-    if full.rows.shape != causal.rows.shape:
-        raise AlphabetMismatchError("full/causal marginal shapes differ")
+    """V[i,c] = log(full-context row i) - log(causal-context row i) for any
+    two row sets of one shape, the correction the sampler multiplies into the
+    copula conditionals. Rows vanish where the two contexts carry the same information."""
     return FactorMatrix(rankwise_update(full.rows, causal.rows))

@@ -242,7 +242,7 @@ def _memoized(model: _TableModel, x_next: SequenceState, rows_of: Callable) -> M
     key = (rows_of, x_next.tokens)
     hit = cache.get(key)
     if hit is None:
-        hit = MarginalSet(rows_of(model, x_next.tokens), includes_mask=False)
+        hit = MarginalSet(rows_of(model, x_next.tokens))
         if len(cache) < _QUERY_CACHE_CAP:
             cache[key] = hit
     return hit

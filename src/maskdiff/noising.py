@@ -223,7 +223,7 @@ class RemaskDistribution:
         return tokens
 
     def rows(self, x_tilde: Sequence[int]) -> MarginalSet:
-        """Per-position law of x_t over the state alphabet (mask = column C)."""
+        """Per-position law of x_t: (N, C+1) rows, the mask in the last column."""
         tokens = self._content(x_tilde)
         c = self.x_next.alphabet.num_categories
         rows = np.zeros((len(tokens), c + 1), dtype=np.float64)
@@ -231,7 +231,7 @@ class RemaskDistribution:
         for i in self.x_next.masked_positions:
             rows[i, c] = self.ratio
             rows[i, tokens[i]] = 1.0 - self.ratio
-        return MarginalSet(rows, includes_mask=True)
+        return MarginalSet(rows)
 
     def outcomes(
         self, x_tilde: Sequence[int], pick: Callable[[tuple[float, float]], Iterable[int]]
@@ -341,25 +341,21 @@ def brute_reverse_posterior(
 
 
 def renormalize_marginals(m: MarginalSet, state: SequenceState) -> MarginalSet:
-    """Zero out the mask column and rescale each row to sum 1. Rows at the
-    unmasked positions of `state` must carry no mask mass; they pass through
-    as the point masses they are."""
-    if not m.includes_mask:
-        raise InvalidDistributionError("marginal set does not include a mask column")
-    if state.alphabet.num_positions != m.num_positions:
-        raise AlphabetMismatchError("state length does not match the marginal set")
-    rows = np.asarray(m.rows, dtype=np.float64)
-    c = m.num_categories
+    """Drop the mask column and rescale each row to sum 1. The rows must be
+    (N, C+1) over `state`'s alphabet, the mask in the last column, else
+    AlphabetMismatchError. Rows at the unmasked positions of `state` must
+    carry no mask mass; they pass through as the point masses they are."""
+    n, c = state.alphabet.num_positions, state.alphabet.num_categories
+    if m.rows.shape != (n, c + 1):
+        raise AlphabetMismatchError(f"expected ({n}, {c + 1}) rows with a mask column")
     for j in state.unmasked_positions:
-        if rows[j, c] > 1e-12:
+        if m.rows[j, c] > 1e-12:
             raise InvalidDistributionError(
-                f"unmasked position {j} carries mask mass {rows[j, c]!r}"
+                f"unmasked position {j} carries mask mass {m.rows[j, c]!r}"
             )
-    data = rows[:, :c].copy()
+    data = m.rows[:, :c].copy()
     mass = data.sum(axis=1)
     if np.any(mass <= 0.0):
         bad = int(np.argmin(mass))
-        raise DegenerateMarginalError(
-            f"position {bad} has all mass on the mask state"
-        )
-    return MarginalSet(data / mass[:, None], includes_mask=False)
+        raise DegenerateMarginalError(f"position {bad} has all mass on the mask state")
+    return MarginalSet(data / mass[:, None])

@@ -105,7 +105,7 @@ def suite_prop1() -> list[CheckResult]:
             local = np.random.default_rng((_seed + 1) * 7919 + hash(x_t.tokens) % 1000)
             rows = rows * np.exp(noise_scale * local.standard_normal(rows.shape))
             rows /= rows.sum(axis=1, keepdims=True)
-            return MarginalSet(rows, includes_mask=True)
+            return MarginalSet(rows)
 
         nelbo = nelbo_factorized(data, sched, perturbed)
         _check(out, "prop1", f"perturbed_denoiser_{k}_above_bound", nelbo > bound,
@@ -284,7 +284,7 @@ def suite_prop6() -> list[CheckResult]:
     for t in range(sched.steps):
         for x_next, _ in reachable_states(data, t + 1, sched):
             brute = brute_reverse_posterior(data, x_next, sched)
-            with_mask = univariate_marginals(brute, includes_mask=True)
+            with_mask = univariate_marginals(brute)
             renorm = renormalize_marginals(with_mask, x_next)
             direct = univariate_marginals(aux_posterior(data, x_next))
             worst = max(worst, float(np.max(np.abs(renorm.rows - direct.rows))))

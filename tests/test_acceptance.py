@@ -79,7 +79,7 @@ def test_criterion_1_iprojection_correctness():
         p_est = random_table(rng, 3, 3, floor=True)
         target = random_rows(rng, 3, 3)
         v_ipf, rep = iproject_exact(p_est, target)
-        v_gd, _ = iproject_descent(p_est, target, grad_tol=1e-10)
+        v_gd, _ = iproject_descent(p_est, target)
         assert rep.converged and rep.iterations <= 10_000
         worst_gap = max(worst_gap, rep.max_marginal_gap)
         max_sweeps = max(max_sweeps, rep.iterations)
@@ -200,7 +200,7 @@ def test_criterion_4_kernel_identities():
                     )
             worst_fact = max(worst_fact, float(np.max(np.abs(combined - brute.probs))))
             renorm = renormalize_marginals(
-                univariate_marginals(brute, includes_mask=True), x_next
+                univariate_marginals(brute), x_next
             )
             direct = univariate_marginals(aux)
             worst_marg = max(worst_marg, float(np.max(np.abs(renorm.rows - direct.rows))))
@@ -231,7 +231,7 @@ def test_criterion_5_bound_equality_and_excess():
             local = np.random.default_rng((_k + 1) * 6007 + hash(x_t.tokens) % 1009)
             rows = rows * np.exp(0.3 * local.standard_normal(rows.shape))
             rows /= rows.sum(axis=1, keepdims=True)
-            return MarginalSet(rows, includes_mask=True)
+            return MarginalSet(rows)
 
         if nelbo_factorized(data, sched, perturbed) > bound:
             above += 1

@@ -13,7 +13,7 @@ import pytest
 from maskdiff import cli
 from maskdiff.cli import build_parser, main
 from maskdiff.dist import load_table
-from maskdiff.models import DiffusionMarginalModel, load_corpus
+from maskdiff.models import ARCopulaModel, DiffusionMarginalModel, load_corpus
 from maskdiff.noising import make_schedule
 
 
@@ -159,6 +159,32 @@ def test_eval_bound_is_finite_where_the_marginal_product_underflows(tmp_path, ca
     assert run(["eval", "--data", str(data), "--steps", "1"]) == 0
     [bound] = re.findall(r"^elbo_bound=(.+)$", capsys.readouterr().out, re.M)
     assert np.isfinite(float(bound))
+
+
+def test_eval_checks_the_models_alphabet_before_evaluating(
+    tmp_path, data_file, monkeypatch, capsys
+):
+    from maskdiff import harness
+
+    data = tmp_path / "d3.json"
+    assert run(["gen-data", "--kind", "markov_chain", "--num-positions", "3",
+                "--num-categories", "3", "--out", str(data)]) == 0
+    pair = load_table(data_file).floored()  # a (2, 2) table
+    ARCopulaModel.exact(pair).save(tmp_path / "m2.json")
+    DiffusionMarginalModel.exact(pair).save(tmp_path / "dm2.json")
+    capsys.readouterr()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluated before the alphabets were checked")
+
+    for name in ("induced_distribution", "_induced_exact", "elbo_bound"):
+        monkeypatch.setattr(harness, name, refuse)
+    for mode, flag, model in (("ar_only", "--copula-model", "m2.json"),
+                              ("diffusion_only", "--dm-model", "dm2.json")):
+        assert run(["eval", "--data", str(data), flag, str(tmp_path / model),
+                    "--mode", mode]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: the models' alphabet differs from the data table's\n"
 
 
 def test_sweep_outputs_and_byte_stability(tmp_path, data_file):

@@ -17,6 +17,7 @@ from maskdiff.dist import (
     dumps_table,
     entropy,
     kl,
+    kl_to_product,
     loads_table,
     product_table,
     same_copula,
@@ -180,6 +181,28 @@ def test_total_correlation_nonnegative_and_zero_iff_product():
         prod = product_table(univariate_marginals(p), p.alphabet)
         if tc < 1e-10:
             assert np.max(np.abs(p.probs - prod.probs)) < 1e-5
+
+
+def test_kl_to_product_is_kl_against_the_product_table_bit_for_bit():
+    rng = np.random.default_rng(22)
+    for n, c in ((1, 2), (2, 3), (3, 3), (4, 2)):
+        p = random_table(rng, n, c)
+        for rows in (univariate_marginals(p), random_rows(rng, n, c)):
+            assert kl_to_product(p, rows) == kl(p, product_table(rows, p.alphabet))
+
+
+def test_kl_to_product_sums_log_rows_where_the_product_underflows():
+    p = JointTable(Alphabet(2, 2), np.array([1e-300, 1e-300, 1e-300, 1.0]))
+    rows = univariate_marginals(p)
+    assert np.any(product_table(rows).probs[p.probs > 0.0] == 0.0)
+    with pytest.raises(SupportError):
+        kl(p, product_table(rows))
+    log_q = np.add.outer(*np.log(rows.rows)).ravel()
+    direct = float(np.sum(p.probs * (np.log(p.probs) - log_q)))
+    assert kl_to_product(p, rows) == pytest.approx(direct, rel=1e-12)
+    assert kl_to_product(p, rows) > 0.0
+    with pytest.raises(SupportError):  # a row that is 0 on the support stays an error
+        kl_to_product(p, MarginalSet(np.array([[1e-300, 1.0 - 1e-300], [1.0, 0.0]])))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Byte-stable outputs against committed fixtures.
 
-The sweep CSV and the sample traces are promised to be byte-stable for a
-fixed config and seed. These tests compare them with files under
+The sweep CSV, the sample traces and `maskdiff verify all`'s report are
+promised to be byte-stable for a fixed config and seed. These tests compare
+them with files under
 `tests/golden/`, so a refactor that changes any printed digit fails here.
 Run this module as a script to rewrite the fixtures after an intended
 change to the outputs.
@@ -9,6 +10,8 @@ change to the outputs.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import sys
 from pathlib import Path
 
@@ -56,6 +59,14 @@ def trace(mode: str, chunk: int = 1) -> str:
     return sample(dm, cop, cfg)[1].dumps()
 
 
+def verify_all_stdout() -> str:
+    """`maskdiff verify all`'s stdout: one line per check and the summary."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["verify", "all"]) == 0
+    return out.getvalue()
+
+
 TRACES = {f"trace_{mode}.txt": (mode, 1) for mode in MODES}
 TRACES["trace_dcd_chunk2.txt"] = ("dcd", 2)
 
@@ -66,6 +77,10 @@ def test_readme_pair_sweep_csv(tmp_path):
 
 def test_chunked_sweep_csv():
     assert chunked_sweep_csv() == (GOLDEN / "chunked_4x2_results.csv").read_text()
+
+
+def test_verify_all_report():
+    assert verify_all_stdout() == (GOLDEN / "verify_all.txt").read_text()
 
 
 @pytest.mark.parametrize("name", sorted(TRACES))
@@ -79,7 +94,8 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         outputs = {"readme_pair_results.csv": readme_pair_csv(Path(tmp)),
-                   "chunked_4x2_results.csv": chunked_sweep_csv()}
+                   "chunked_4x2_results.csv": chunked_sweep_csv(),
+                   "verify_all.txt": verify_all_stdout()}
     outputs.update({name: trace(*args) for name, args in TRACES.items()})
     for name, text in outputs.items():
         (GOLDEN / name).write_text(text, encoding="utf-8")

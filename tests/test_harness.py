@@ -26,6 +26,7 @@ from maskdiff.errors import (
     InvalidDistributionError,
     MaskDiffError,
     ScheduleError,
+    SupportError,
 )
 from maskdiff.harness import (
     CSV_HEADER,
@@ -213,7 +214,7 @@ def _per_state_bounds(data: JointTable, sched) -> tuple[float, float]:
         for x_t, weight in reachable_states(data, t, sched):
             post = brute_reverse_posterior(data, x_t, sched)
             bound += weight * total_correlation(post)
-            rows = univariate_marginals(post, includes_mask=True)
+            rows = univariate_marginals(post)
             nelbo += weight * kl(post, product_table(rows, post.alphabet))
     return bound, nelbo
 
@@ -391,7 +392,7 @@ def test_nelbo_matches_trajectory_enumeration_oracle():
         local = np.random.default_rng(hash(x_t.tokens) % 1000)
         rows = rows * np.exp(0.3 * local.standard_normal(rows.shape))
         rows /= rows.sum(axis=1, keepdims=True)
-        return MarginalSet(rows, includes_mask=True)
+        return MarginalSet(rows)
 
     assert _trajectory_nelbo(data, sched, perturbed) == pytest.approx(
         nelbo_factorized(data, sched, perturbed), abs=1e-10
@@ -409,9 +410,45 @@ def test_perturbed_denoisers_exceed_bound():
             local = np.random.default_rng(_k * 7919 + hash(x_t.tokens) % 997)
             rows = rows * np.exp(0.25 * local.standard_normal(rows.shape))
             rows /= rows.sum(axis=1, keepdims=True)
-            return MarginalSet(rows, includes_mask=True)
+            return MarginalSet(rows)
 
         assert nelbo_factorized(data, sched, perturbed) > bound
+
+
+def test_nelbo_reads_the_mask_column_from_the_row_width():
+    data = correlated_pair()
+    sched = make_schedule("linear", 2)
+    optimal = optimal_factorized_denoiser(data, sched)
+    nelbo = nelbo_factorized(data, sched, optimal)
+    assert nelbo_factorized(data, sched, lambda x_t: MarginalSet(optimal(x_t).rows)) == nelbo
+    with pytest.raises(AlphabetMismatchError):  # (N, C) rows carry no mask column
+        nelbo_factorized(data, sched, lambda x_t: MarginalSet(np.full((2, 2), 0.5)))
+
+
+TINY = JointTable(Alphabet(2, 2), np.array([1e-300, 1e-300, 1e-300, 1.0]))
+
+
+@pytest.mark.parametrize("family", ["linear", "log-linear"])
+@pytest.mark.parametrize("steps", [1, 2, 3])
+def test_optimal_nelbo_attains_the_bound_where_the_marginal_product_underflows(steps, family):
+    sched = make_schedule(family, steps)
+    bound = elbo_bound(TINY, sched)
+    nelbo = nelbo_factorized(TINY, sched, optimal_factorized_denoiser(TINY, sched))
+    assert bound > 0.0
+    assert within_golden(nelbo, bound) and math.isclose(nelbo, bound, rel_tol=1e-13)
+
+
+def test_nelbo_still_raises_where_a_denoiser_row_vanishes_on_the_support():
+    sched = make_schedule("linear", 1)
+    optimal = optimal_factorized_denoiser(TINY, sched)
+
+    def zeroed(x_t: SequenceState) -> MarginalSet:
+        rows = optimal(x_t).rows.copy()
+        rows[0, 0] = 0.0  # the posterior has mass 1e-300 there
+        return MarginalSet(rows / rows.sum(axis=1, keepdims=True))
+
+    with pytest.raises(SupportError):
+        nelbo_factorized(TINY, sched, zeroed)
 
 
 # ---------------------------------------------------------------------------

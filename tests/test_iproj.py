@@ -215,7 +215,7 @@ def test_projection_matches_descent_oracle():
         p = random_table(rng, 3, 3, floor=True)
         target = random_rows(rng, 3, 3)
         v_ipf, r_ipf = iproject_exact(p, target)
-        v_gd, r_gd = iproject_descent(p, target, grad_tol=1e-10)
+        v_gd, r_gd = iproject_descent(p, target)
         ph_ipf, _ = apply_factors(p, v_ipf)
         ph_gd, _ = apply_factors(p, v_gd)
         assert r_ipf.converged
@@ -383,6 +383,23 @@ def test_dcd_factors_equal_per_row_rankwise_updates(n, c):
         causal = MarginalSet(causal / causal.sum(axis=1, keepdims=True))
         rows = [rankwise_update(full.rows[i], causal.rows[i]) for i in range(n)]
         assert np.array_equal(dcd_factors(full, causal).values, np.stack(rows))
+
+
+def test_dcd_factors_take_any_two_row_sets_of_one_shape():
+    rng = np.random.default_rng(96)
+    full, causal = random_rows(rng, 3, 3), random_rows(rng, 3, 3)  # (N, C+1) for C = 2
+    expected = np.log(full.rows) - np.log(causal.rows)
+    assert np.array_equal(dcd_factors(full, causal).values, expected)
+    with pytest.raises(AlphabetMismatchError):
+        dcd_factors(full, random_rows(rng, 3, 2))
+
+
+def test_projections_refuse_a_target_with_a_mask_column():
+    p = random_table(np.random.default_rng(95), 3, 2, floor=True)
+    target = random_rows(np.random.default_rng(94), 3, 3)  # (N, C+1)
+    for solve in (iproject_exact, iproject_descent):
+        with pytest.raises(AlphabetMismatchError, match="target marginal shape"):
+            solve(p, target)
 
 
 def test_dcd_factors_vanish_when_contexts_coincide():

@@ -207,7 +207,7 @@ def test_dm_full_matches_renormalized_brute_marginals():
     rows = dm_marginals_full(model, x_next)
     brute = brute_reverse_posterior(data, x_next, sched)
     renorm = renormalize_marginals(
-        univariate_marginals(brute, includes_mask=True), x_next
+        univariate_marginals(brute), x_next
     )
     np.testing.assert_allclose(rows.rows, renorm.rows, atol=1e-10)
 

@@ -15,6 +15,7 @@ from maskdiff.dist import (
     univariate_marginals,
 )
 from maskdiff.errors import (
+    AlphabetMismatchError,
     ClampError,
     DegenerateMarginalError,
     InvalidDistributionError,
@@ -297,7 +298,7 @@ def test_brute_marginals_match_renormalization_relation():
     x_next = SequenceState((mask, 1, mask), 2, data.alphabet)
     post = brute_reverse_posterior(data, x_next, sched)
     renorm = renormalize_marginals(
-        univariate_marginals(post, includes_mask=True), x_next
+        univariate_marginals(post), x_next
     )
     direct = univariate_marginals(aux_posterior(data, x_next))
     np.testing.assert_allclose(renorm.rows, direct.rows, atol=1e-10)
@@ -408,7 +409,7 @@ def test_forward_state_distribution_endpoints():
 # ---------------------------------------------------------------------------
 
 def test_renormalize_arithmetic():
-    rows = MarginalSet(np.array([[0.2, 0.3, 0.5], [0.4, 0.6, 0.0]]), includes_mask=True)
+    rows = MarginalSet(np.array([[0.2, 0.3, 0.5], [0.4, 0.6, 0.0]]))
     alphabet = Alphabet(2, 2)
 
     out = renormalize_marginals(rows, SequenceState((alphabet.mask_index, 1), 1, alphabet))
@@ -417,7 +418,7 @@ def test_renormalize_arithmetic():
 
 
 def test_renormalize_degenerate_row_raises():
-    rows = MarginalSet(np.array([[0.0, 0.0, 1.0]]), includes_mask=True)
+    rows = MarginalSet(np.array([[0.0, 0.0, 1.0]]))
     alphabet = Alphabet(1, 2)
 
     with pytest.raises(DegenerateMarginalError):
@@ -425,12 +426,25 @@ def test_renormalize_degenerate_row_raises():
 
 
 def test_renormalize_rejects_mask_mass_on_an_unmasked_position():
-    rows = MarginalSet(np.array([[0.2, 0.3, 0.5], [0.4, 0.5, 0.1]]), includes_mask=True)
+    rows = MarginalSet(np.array([[0.2, 0.3, 0.5], [0.4, 0.5, 0.1]]))
     alphabet = Alphabet(2, 2)
     with pytest.raises(InvalidDistributionError, match="unmasked position 1"):
         renormalize_marginals(rows, SequenceState((alphabet.mask_index, 0), 1, alphabet))
     out = renormalize_marginals(rows, SequenceState.all_masked(alphabet, 1))
     np.testing.assert_allclose(out.rows[1], [4 / 9, 5 / 9], atol=1e-15)
+
+
+def test_renormalize_reads_the_mask_column_from_the_row_width():
+    data = random_table(np.random.default_rng(51), 3, 2, floor=True)
+    mask = data.alphabet.mask_index
+    x_next = SequenceState((mask, 0, mask), 2, data.alphabet)
+    post = brute_reverse_posterior(data, x_next, make_schedule("linear", 3))
+    direct = univariate_marginals(aux_posterior(data, x_next))  # (N, C): no mask column
+    renorm = renormalize_marginals(univariate_marginals(post), x_next)  # (N, C+1), no flag
+    np.testing.assert_allclose(renorm.rows, direct.rows, atol=1e-10)
+    for rows in (direct, MarginalSet(univariate_marginals(post).rows[:2])):
+        with pytest.raises(AlphabetMismatchError, match="rows with a mask column"):
+            renormalize_marginals(rows, x_next)
 
 
 def test_sequence_state_invariants():
