@@ -2,10 +2,9 @@
 
 The sweep CSV, the sample traces and `maskdiff verify all`'s report are
 promised to be byte-stable for a fixed config and seed. These tests compare
-them with files under
-`tests/golden/`, so a refactor that changes any printed digit fails here.
-Run this module as a script to rewrite the fixtures after an intended
-change to the outputs.
+them with files under `tests/golden/`, so a refactor that changes any
+printed digit fails here. Run this module as a script to rewrite the
+fixtures after an intended change to the outputs.
 """
 
 from __future__ import annotations
