@@ -407,6 +407,49 @@ def test_step_law_rejects_a_state_outside_the_chunked_process():
         assert len(enumerate_step_distribution(dm, cop, x_next, config(mode, 2))) > 1
 
 
+def _dense_start(alphabet, states) -> tuple[np.ndarray, np.ndarray]:
+    """(weights, present) with equal mass on each of `states`."""
+    weights = np.zeros((alphabet.num_categories + 1,) * alphabet.num_positions)
+    for tokens in states:
+        weights[tokens] = 1.0 / len(states)
+    return weights, weights > 0.0
+
+
+def test_ar_unmask_step_rejects_a_state_off_the_unmask_prefix():
+    # N = T = 3 unmasks one position per step: at time 2 only position 0 is unmasked
+    data = random_table(np.random.default_rng(114), 3, 2, floor=True)
+    dm, cop = exact_models(data)
+    mask = data.alphabet.mask_index
+    for tokens in ((mask, 0, mask), (mask, mask, mask), (0, 1, mask)):
+        with pytest.raises(ClampError, match="unmasked prefix"):
+            enumerate_step_distribution(dm, cop, SequenceState(tokens, 2, data.alphabet),
+                                        config("dcd_ar_unmask", 3))
+    assert len(enumerate_step_distribution(dm, cop, SequenceState((0, mask, mask), 2, data.alphabet),
+                                           config("dcd_ar_unmask", 3))) > 1
+
+
+@pytest.mark.parametrize("mode", ["dcd", "diffusion_only"])
+def test_dense_step_rejects_a_mixed_chunk_among_whole_chunk_states(mode):
+    data = random_table(np.random.default_rng(115), 4, 2, floor=True)
+    dm, cop = exact_models(data)
+    mask = data.alphabet.mask_index
+    good, mixed = (mask, mask, 0, 1), (mask, 0, mask, mask)  # chunk (0, 1) half masked
+    rows = sampler_mod.PatternRows(dm, cop, mode)
+    cfg = config(mode, 2, chunk=2)
+    sampler_mod.dense_step(rows, *_dense_start(data.alphabet, [good]), 2, cfg)
+    with pytest.raises(ClampError, match="mixed chunk"):
+        sampler_mod.dense_step(rows, *_dense_start(data.alphabet, [good, mixed]), 2, cfg)
+
+
+@pytest.mark.parametrize("mode", ["dcd", "diffusion_only", "dcd_ar_unmask"])
+def test_dense_step_rejects_a_time_outside_the_schedule(mode):
+    dm, cop = exact_models(correlated_pair())
+    rows = sampler_mod.PatternRows(dm, cop, mode)
+    for time, state in ((0, (0, 1)), (3, (dm.alphabet.mask_index,) * 2)):
+        with pytest.raises(ScheduleError, match=r"outside \[1, 2\]"):
+            sampler_mod.dense_step(rows, *_dense_start(dm.alphabet, [state]), time, config(mode, 2))
+
+
 @pytest.mark.parametrize("chunk", [1, 2])
 def test_sample_draws_one_double_per_masked_position_and_chunk(chunk):
     # diffusion_only at T=2 re-masks with ratio 1/2, then with ratio 0
