@@ -23,7 +23,6 @@ CSV is byte-stable (wall-clock timings are opt-in and empty by default).
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from collections import defaultdict
@@ -57,7 +56,7 @@ from .models import ARCopulaModel, DiffusionMarginalModel, ar_chain_table
 from .noising import (
     NoiseSchedule,
     SequenceState,
-    chunk_groups,
+    _pattern_frames,
     forward_state_distribution,
     make_schedule,
     posterior_from_prior,
@@ -159,30 +158,31 @@ def _posteriors(
 
 def elbo_bound(data: JointTable, sched: NoiseSchedule) -> float:
     """H(data) + sum_{t=1..T} E_{x_t}[TC(q(X_{t-1} | x_t))], exactly. The
-    reachable x_t that share a chunk mask pattern differ only in their
-    unmasked tokens, so one tensor pass per (t, pattern) takes the TC of
-    all their posteriors (`_pattern_tc`). Each live x_t (q(x_t) > 0) fails
-    as `posterior_from_prior` and `total_correlation` would fail on it, and
-    the first failing state in (t, table) order names the error."""
-    c = data.num_categories
-    groups = chunk_groups(data.num_positions, sched.chunk_size)
+    reachable x_t that share a mask pattern differ only in their unmasked
+    tokens, so one tensor pass per (t, pattern) takes the TC of all their
+    posteriors (`_pattern_tc`), over the pattern frames the dense step uses;
+    the forward process reaches no pattern with a partly masked chunk. A
+    pattern with at most one masked position skips the TC arithmetic: its
+    one marginal is the posterior itself, so its TC is exactly 0. Each live
+    x_t (q(x_t) > 0) fails as `posterior_from_prior` and
+    `total_correlation` would fail on it, and the first failing state in
+    (t, table) order names the error."""
+    frames = _pattern_frames(data.num_positions, data.num_categories, sched.chunk_size)
     total = entropy(data)
     prior = forward_state_distribution(data, 0, sched).tensor()
     for t in range(1, sched.steps + 1):
         qt = forward_state_distribution(data, t, sched).tensor()
+        step = sched.step_mask_prob(t - 1)
         faults = np.zeros(qt.shape, dtype=np.int8)
-        for pattern in itertools.product((False, True), repeat=len(groups)):
-            chunks = [group for group, m in zip(groups, pattern) if m]
-            masked = tuple(m for group, m in zip(groups, pattern) for _ in group)
-            here = tuple(slice(c, None) if m else slice(0, c) for m in masked)
-            weight = qt[here]
+        for frame in frames:
+            weight = qt[frame.src]
             live = weight > 0.0
             if not live.any():
                 continue
-            src = tuple(slice(None) if m else slice(0, c) for m in masked)
-            tc, fault = _pattern_tc(prior[src], chunks, sched.step_mask_prob(t - 1))
-            faults[here] = fault * live
-            total += float(np.sum(weight * tc))
+            tc, fault = _pattern_tc(prior[frame.dest], frame.chunks, step)
+            faults[frame.src] = fault * live
+            if tc is not None:
+                total += float(np.sum(weight * tc))
         if faults.any():
             error, message = _BOUND_FAULTS[int(faults.flat[np.flatnonzero(faults)[0]])]
             raise error(message)
@@ -198,14 +198,15 @@ _BOUND_FAULTS = {
 
 def _pattern_tc(
     p: np.ndarray, chunks: Sequence[tuple[int, ...]], step: float
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray | None, np.ndarray]:
     """TC(q(X_{t-1} | x_t)) for every x_t of one mask pattern, with a fault
     code per state (0 none, else a key of `_BOUND_FAULTS`). p is q(X_{t-1})
     with all C+1 values on the masked chunks' axes and the states' tokens
     on the others; the results have 1 on the masked axes. Each masked chunk
     weighs its sources 1 (all MASK), step (all content) or 0 (mixed); each
     unmasked chunk weighs every state by 1 - step, which normalizing
-    cancels. An unmasked position is a point mass and adds no TC."""
+    cancels. An unmasked position is a point mass and adds no TC, so with
+    at most one masked position the TC is None: 0 at every state."""
     for chunk in chunks:
         block = np.zeros((p.shape[chunk[0]],) * len(chunk))
         block[(-1,) * len(chunk)] = 1.0
@@ -213,6 +214,9 @@ def _pattern_tc(
         p = p * along_axis(block, chunk[-1], p.ndim)
     axes = tuple(i for chunk in chunks for i in chunk)
     z = p.sum(axis=axes, keepdims=True)
+    fault = np.where(z <= 0.0, 1, 0).astype(np.int8)
+    if len(axes) <= 1:
+        return None, fault
     post = np.divide(p, z, out=np.zeros_like(p), where=z > 0.0)
     marginals = [post.sum(axis=tuple(j for j in axes if j != i), keepdims=True) for i in axes]
     product, support = math.prod(marginals), post > 0.0
@@ -222,8 +226,7 @@ def _pattern_tc(
         log_product = np.where(product > 0.0, log_product, log_sum)
     logs = np.log(np.where(support, post, 1.0)) - log_product
     tc = np.sum(np.where(support, post * logs, 0.0), axis=axes, keepdims=True)
-    fault = np.where(tc < -1e-9, 2, 0).astype(np.int8)
-    fault[z <= 0.0] = 1
+    fault[tc < -1e-9] = 2  # tc is 0 where z <= 0: no posterior there
     return np.maximum(tc, 0.0), fault
 
 

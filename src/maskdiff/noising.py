@@ -259,12 +259,60 @@ def remask_kernel(x_next: SequenceState, sched: NoiseSchedule) -> RemaskDistribu
     ScheduleError for a time outside [1, T] and ClampError for a chunked
     state with a partly masked chunk."""
     ratio = sched.mask_ratio(x_next.time - 1)
-    masked = set(x_next.masked_positions)
-    chunks = chunk_groups(x_next.alphabet.num_positions, sched.chunk_size)
+    chunks = _masked_chunks(x_next.alphabet.num_positions, x_next.masked_positions, sched.chunk_size)
+    return RemaskDistribution(x_next, ratio, chunks)
+
+
+def _masked_chunks(
+    num_positions: int, masked_positions: Iterable[int], chunk_size: int
+) -> tuple[tuple[int, ...], ...]:
+    """The chunks that hold a masked position, in order. Raises ClampError
+    when one of them is only partly masked."""
+    masked = set(masked_positions)
+    chunks = chunk_groups(num_positions, chunk_size)
     groups = tuple(group for group in chunks if masked.intersection(group))
     if not all(masked.issuperset(group) for group in groups):
         raise ClampError("chunked process states mask whole chunks; got a mixed chunk")
-    return RemaskDistribution(x_next, ratio, groups)
+    return groups
+
+
+@dataclass(frozen=True, eq=False)
+class _PatternFrame:
+    """The part of one mask pattern's frame in the (C+1,)*N state tensor
+    that no step changes: the pattern's states (`src`, MASK on the masked
+    axes and the C tokens on the others), where they land once re-masked
+    (`dest`, all C+1 values on the masked axes), and its masked positions
+    and chunks."""
+
+    masked: tuple[bool, ...]
+    src: tuple[slice, ...]
+    dest: tuple[slice, ...]
+    positions: tuple[int, ...]
+    chunk_size: int
+
+    @functools.cached_property
+    def chunks(self) -> tuple[tuple[int, ...], ...]:
+        """The masked chunks; ClampError for a pattern with a mixed chunk."""
+        return _masked_chunks(len(self.masked), self.positions, self.chunk_size)
+
+
+@functools.cache
+def _pattern_frames(
+    num_positions: int, num_categories: int, chunk_size: int
+) -> tuple[_PatternFrame, ...]:
+    """The frame of every mask pattern, in `itertools.product` order (MASK
+    last); built once per (N, C, chunk_size)."""
+    c = num_categories
+    return tuple(
+        _PatternFrame(
+            masked,
+            tuple(slice(c, c + 1) if m else slice(0, c) for m in masked),
+            tuple(slice(None) if m else slice(0, c) for m in masked),
+            tuple(i for i, m in enumerate(masked) if m),
+            chunk_size,
+        )
+        for masked in itertools.product((False, True), repeat=num_positions)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,11 @@ right, one category per masked position, then one re-mask decision per
 masked chunk. `dense_step` moves every state of a (C+1,)*N weight tensor
 one step on at once: states that share a mask pattern differ only in their
 clamped tokens, so one pass multiplies their rows (tensors from
-`PatternRows`) and re-masks them all. Every exact law comes from it: the
+`PatternRows`) and re-masks them all. What a pattern's pass needs from the
+tensor's layout (its index tuples, its masked positions and chunks) is
+built once per (N, C, chunk_size); each step works out only its time check,
+its re-mask ratio and its fill. `step_frame` gives the same per-state
+frame to `sample`, under the same rules. Every exact law comes from it: the
 harness runs it from the all-mask state to time 0, the enumerators run it
 once from x_{t+1} alone (`enumerate_aux_distribution` stops before the
 re-mask), and the tests check it against a per-state walk of `StepLaw`s.
@@ -44,7 +48,6 @@ re-masks when it falls below alpha_t / alpha_{t+1}.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import ceil
@@ -69,7 +72,14 @@ from .models import (
     dm_marginals_full,
     pattern_rows,
 )
-from .noising import NoiseSchedule, RemaskDistribution, SequenceState, remask_kernel
+from .noising import (
+    NoiseSchedule,
+    RemaskDistribution,
+    SequenceState,
+    _pattern_frames,
+    _PatternFrame,
+    remask_kernel,
+)
 
 MODE_DCD = "dcd"
 MODE_DIFFUSION_ONLY = "diffusion_only"
@@ -262,32 +272,44 @@ def fused_weights(row: np.ndarray, v: np.ndarray, beta: float) -> np.ndarray:
     return row * np.exp(beta * v)
 
 
-def _check_time(x_next: SequenceState, cfg: SamplerConfig) -> None:
-    if not 1 <= x_next.time <= cfg.steps:
-        raise ScheduleError(f"x_next carries time {x_next.time}, outside [1, {cfg.steps}]")
+def _check_time(time: int, cfg: SamplerConfig) -> None:
+    if not 1 <= time <= cfg.steps:
+        raise ScheduleError(f"x_next carries time {time}, outside [1, {cfg.steps}]")
+
+
+def _unmask_bounds(num_positions: int, time: int, steps: int) -> tuple[int, int]:
+    """(positions unmasked before, positions filled by) dcd_ar_unmask's
+    step from `time`."""
+    bounds = (0,) + ar_unmask_schedule(num_positions, steps)
+    done = steps - time  # steps already taken
+    return bounds[done], bounds[done + 1]
+
+
+def _check_prefix(masked: tuple[bool, ...], revealed: int) -> None:
+    """dcd_ar_unmask reaches only states whose first `revealed` positions,
+    and no others, are unmasked."""
+    if masked != (False,) * revealed + (True,) * (len(masked) - revealed):
+        unmasked = tuple(i for i, m in enumerate(masked) if not m)
+        raise ClampError(
+            f"dcd_ar_unmask expects an unmasked prefix of length {revealed}, got positions {unmasked}"
+        )
 
 
 def step_frame(
     x_next: SequenceState, cfg: SamplerConfig
 ) -> tuple[int, RemaskDistribution | None]:
     """(fill, re-mask kernel) of cfg.mode's step at x_{t+1}, for dcd,
-    diffusion_only and dcd_ar_unmask. Both depend only on the mask pattern
-    and time of x_{t+1}, so one frame serves every state that shares them.
-    Raises ScheduleError for a time outside [1, T] and ClampError for a
-    pattern the mode cannot reach."""
-    _check_time(x_next, cfg)
+    diffusion_only and dcd_ar_unmask, as `sample` draws it. Raises
+    ScheduleError for a time outside [1, T] and ClampError for a pattern the
+    mode cannot reach: the same rules `dense_step` applies to whole mask
+    patterns."""
+    _check_time(x_next.time, cfg)
     n = x_next.alphabet.num_positions
     if cfg.mode != MODE_DCD_AR_UNMASK:
         return n, remask_kernel(x_next, cfg.schedule)
-    bounds = (0,) + ar_unmask_schedule(n, cfg.steps)
-    done = cfg.steps - x_next.time  # steps already taken
-    prev_u, new_u = bounds[done], bounds[done + 1]
-    if x_next.unmasked_positions != tuple(range(prev_u)):
-        raise ClampError(
-            "dcd_ar_unmask expects an unmasked prefix of length "
-            f"{prev_u}, got positions {x_next.unmasked_positions}"
-        )
-    return new_u, None
+    revealed, fill = _unmask_bounds(n, x_next.time, cfg.steps)
+    _check_prefix(tuple(map(x_next.is_masked, range(n))), revealed)
+    return fill, None
 
 
 def _fused_law(
@@ -354,7 +376,7 @@ def _step_law(
     if cfg.mode == MODE_DCD_AR_UNMASK:
         return dcd_ar_unmask_step(dm, copula, x_next, cfg)
     # ar_only: every position from the plain copula conditionals, straight to time 0
-    _check_time(x_next, cfg)
+    _check_time(x_next.time, cfg)
     return StepLaw(x_next, 0, x_next.alphabet.num_positions, None, copula)
 
 
@@ -362,17 +384,19 @@ class PatternRows:
     """The content layer's rows for every state of a mask pattern, as N-axis
     tensors with the row along the drawn position's axis. No row depends on
     time, and only the fused rows depend on beta, so one object serves
-    every (T, beta) cell of a mode: the marginal rows, the copula rows, V
-    and the evidence are built once per pattern and position, the fused
-    rows once per beta as well."""
+    every (T, beta) cell of a mode: the marginal rows, V and the evidence
+    are built once per pattern and position, the copula rows once per
+    position (they read no mask pattern), and the fused rows once per beta
+    as well."""
 
     def __init__(self, dm: DiffusionMarginalModel | None, copula: ARCopulaModel | None,
                  mode: str) -> None:
         self.dm, self.copula = dm, copula
         self.fused = mode != MODE_DIFFUSION_ONLY
         self._evidence: dict[tuple[bool, ...], np.ndarray] = {}
+        self._copula: dict[int, np.ndarray] = {}
         self._parts: dict[tuple[tuple[bool, ...], int], tuple[np.ndarray, ...]] = {}
-        self._rows: dict[tuple[tuple[bool, ...], int, float], tuple[np.ndarray, np.ndarray]] = {}
+        self._rows: dict[tuple[tuple[bool, ...], int, float], tuple[np.ndarray, ...]] = {}
 
     def evidence(self, masked: tuple[bool, ...]) -> np.ndarray:
         """Whether each state's unmasked tokens have mass under the marginal
@@ -382,58 +406,74 @@ class PatternRows:
             self._evidence[masked] = self.dm.table.tensor().sum(axis=axes, keepdims=True) > 0.0
         return self._evidence[masked]
 
-    def row(self, masked: tuple[bool, ...], i: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
-        """(rows at masked position i under beta, where those rows have mass)."""
+    def row(self, masked: tuple[bool, ...], i: int, beta: float) -> tuple[np.ndarray, ...]:
+        """(rows at masked position i under beta, where those rows have mass,
+        where their entries are positive)."""
         if (masked, i) not in self._parts:
             self._parts[masked, i] = self._beta_free(masked, i)
         if not self.fused:  # the evidence check already covers these rows
-            return self._parts[masked, i][0], np.True_
+            return self._parts[masked, i]
         if (masked, i, beta) not in self._rows:
             cond, v = self._parts[masked, i]
             weights = fused_weights(cond, v, beta)
             total = weights.sum(axis=-1, keepdims=True)
             fused = np.divide(weights, total, out=np.zeros_like(weights), where=total > 0.0)
-            self._rows[masked, i, beta] = np.moveaxis(fused, -1, i), np.moveaxis(total > 0.0, -1, i)
+            fused = np.moveaxis(fused, -1, i)
+            self._rows[masked, i, beta] = fused, np.moveaxis(total > 0.0, -1, i), fused > 0.0
         return self._rows[masked, i, beta]
 
     def _beta_free(self, masked: tuple[bool, ...], i: int) -> tuple[np.ndarray, ...]:
-        """(the marginal rows,) unfused; (copula rows, V) with the row on the
-        last axis when fused."""
+        """(the marginal rows, True, their support) unfused; (copula rows, V)
+        with the row on the last axis when fused."""
         full = pattern_rows(self.dm, masked, i)
         if not self.fused:
-            return (full,)
+            return full, np.True_, full > 0.0
         v = rankwise_update(*np.broadcast_arrays(full, pattern_rows(self.dm, masked, i, causal=True)))
-        cond = pattern_rows(self.copula, (False,) * len(masked), i, causal=True)
-        return np.moveaxis(cond, i, -1), np.moveaxis(v, i, -1)
+        if i not in self._copula:
+            cond = pattern_rows(self.copula, (False,) * len(masked), i, causal=True)
+            self._copula[i] = np.moveaxis(cond, i, -1)
+        return self._copula[i], np.moveaxis(v, i, -1)
+
+
+_Remask = tuple[float, tuple[tuple[int, ...], ...]]  # (ratio, masked chunks)
 
 
 def _content_layers(
     rows: PatternRows, weights: np.ndarray, present: np.ndarray, time: int, cfg: SamplerConfig
-) -> Iterator[tuple[tuple[bool, ...], int, RemaskDistribution | None, np.ndarray, np.ndarray]]:
-    """(mask pattern, fill, kernel, w, p) for each mask pattern with a
-    present state at `time`: w weighs the content layers of all its states,
-    over the clamped and drawn axes, and p marks those the per-state walk
-    would visit (a path whose weight underflows to 0 still counts)."""
-    c = rows.dm.alphabet.num_categories
-    for masked in itertools.product((False, True), repeat=weights.ndim):
-        src = tuple(c if m else slice(0, c) for m in masked)
-        here = present[src]
-        if not here.any():
+) -> Iterator[tuple[_PatternFrame, int, _Remask | None, np.ndarray, np.ndarray]]:
+    """(frame, fill, re-mask, w, p) for each mask pattern with a present
+    state at `time`: w weighs the content layers of all its states, over the
+    clamped and drawn axes, and p marks those the per-state walk would visit
+    (a path whose weight underflows to 0 still counts). The re-mask is the
+    kernel's ratio and the pattern's masked chunks, or None for
+    dcd_ar_unmask. The time check, the ratio and the fill are worked out
+    once per step, the frames once per (N, C, chunk_size)."""
+    n, c = weights.ndim, rows.dm.alphabet.num_categories
+    _check_time(time, cfg)
+    if cfg.mode == MODE_DCD_AR_UNMASK:
+        ratio, (revealed, fill) = None, _unmask_bounds(n, time, cfg.steps)
+    else:
+        ratio, fill = cfg.schedule.mask_ratio(time - 1), n
+    for frame in _pattern_frames(n, c, cfg.chunk_size):
+        p = present[frame.src]
+        if not p.any():
             continue
-        x_next = SequenceState(tuple(c if m else 0 for m in masked), time, rows.dm.alphabet)
-        fill, kernel = step_frame(x_next, cfg)
-        shape = tuple(1 if m else c for m in masked)
-        w, p = weights[src].reshape(shape), here.reshape(shape)
-        if np.any(p & ~rows.evidence(masked)):
+        if ratio is None:
+            _check_prefix(frame.masked, revealed)
+            remask = None
+        else:
+            remask = ratio, frame.chunks  # ClampError for a mixed chunk
+        w = weights[frame.src]
+        if np.any(p & ~rows.evidence(frame.masked)):
             raise SupportError("a reachable state's unmasked tokens have zero probability")
-        for i in x_next.masked_positions:
+        for i in frame.positions:
             if i >= fill:
                 break
-            row, ok = rows.row(masked, i, cfg.beta)
+            row, ok, support = rows.row(frame.masked, i, cfg.beta)
             if np.any(p & ~ok):
                 raise SupportError(f"fused row at position {i} has no mass")
-            w, p = w * row, p & (row > 0.0)
-        yield masked, fill, kernel, w, p
+            w, p = w * row, p & support
+        yield frame, fill, remask, w, p
 
 
 def dense_step(
@@ -441,16 +481,20 @@ def dense_step(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One step of cfg.mode from every state of `weights`, a (C+1,)*N tensor
     over the states at `time` whose boolean twin `present` marks the states
-    the per-state walk would visit; returns the same pair at time - 1."""
+    the per-state walk would visit; returns the same pair at time - 1. The
+    step moves whole mask patterns: each pattern's frame is built once per
+    (N, C, chunk_size), and no per-state `SequenceState`, `step_frame` or
+    re-mask kernel is made."""
     c = rows.dm.alphabet.num_categories
     nxt, reached = np.zeros_like(weights), np.zeros_like(present)
-    for masked, fill, kernel, w, p in _content_layers(rows, weights, present, time, cfg):
-        if kernel is None:
-            dest = tuple(slice(0, c) if i < fill else slice(c, c + 1) for i in range(len(masked)))
+    for frame, fill, remask, w, p in _content_layers(rows, weights, present, time, cfg):
+        if remask is None:
+            dest = tuple(slice(0, c) if i < fill else slice(c, c + 1) for i in range(weights.ndim))
         else:
-            for chunk in kernel.mask_chunks:
-                w, p = _remask(w, p, chunk, kernel.ratio)
-            dest = tuple(slice(None) if m else slice(0, c) for m in masked)
+            ratio, chunks = remask
+            for chunk in chunks:
+                w, p = _remask(w, p, chunk, ratio)
+            dest = frame.dest
         nxt[dest] += w
         reached[dest] |= p
     return nxt, reached
@@ -462,15 +506,18 @@ def _remask(
     """One masked chunk's re-mask step on a content-layer tensor: its axes
     grow from C to C+1, keeping each token with 1 - ratio or moving the
     chunk's whole mass to MASK with ratio."""
+    keep_w, gone_w = w * (1.0 - ratio), ratio * w.sum(axis=chunk, keepdims=True)
+    keep_p, gone_p = p & (1.0 - ratio > 0.0), p.any(axis=chunk, keepdims=True) & (ratio > 0.0)
+    if len(chunk) == 1:  # the MASK entry follows the C tokens on the one axis
+        return (np.concatenate((keep_w, gone_w), axis=chunk[0]),
+                np.concatenate((keep_p, gone_p), axis=chunk[0]))
     c = w.shape[chunk[0]]
     shape = tuple(c + 1 if i in chunk else size for i, size in enumerate(w.shape))
     keep = tuple(slice(0, c) if i in chunk else slice(None) for i in range(w.ndim))
     gone = tuple(slice(c, None) if i in chunk else slice(None) for i in range(w.ndim))
     out, reached = np.zeros(shape), np.zeros(shape, dtype=bool)
-    out[keep] = w * (1.0 - ratio)
-    out[gone] = ratio * w.sum(axis=chunk, keepdims=True)
-    reached[keep] = p & (1.0 - ratio > 0.0)
-    reached[gone] = p.any(axis=chunk, keepdims=True) & (ratio > 0.0)
+    out[keep], out[gone] = keep_w, gone_w
+    reached[keep], reached[gone] = keep_p, gone_p
     return out, reached
 
 
