@@ -247,11 +247,9 @@ def univariate_marginals(p: JointTable) -> MarginalSet:
     return MarginalSet(rows)
 
 
-def product_table(marginals: MarginalSet, alphabet: Alphabet | None = None) -> JointTable:
-    """Joint distribution that factorizes into the given rows."""
+def product_table(marginals: MarginalSet, alphabet: Alphabet) -> JointTable:
+    """Joint distribution over `alphabet` that factorizes into the given rows."""
     rows = marginals.rows
-    if alphabet is None:
-        alphabet = Alphabet(int(rows.shape[0]), int(rows.shape[1]))
     if rows.shape != (alphabet.num_positions, alphabet.num_categories):
         raise AlphabetMismatchError("marginal rows do not match the alphabet")
     probs = np.ones(1, dtype=np.float64)

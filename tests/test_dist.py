@@ -128,7 +128,7 @@ def test_kl_support_violation_raises():
 def test_marginals_of_product_return_the_rows():
     rng = np.random.default_rng(16)
     rows = random_rows(rng, 3, 3)
-    back = univariate_marginals(product_table(rows))
+    back = univariate_marginals(product_table(rows, Alphabet(3, 3)))
     np.testing.assert_allclose(back.rows, rows.rows, atol=1e-14)
 
 
@@ -155,7 +155,7 @@ def test_marginals_match_summation_oracle():
 def test_total_correlation_product_is_zero():
     rng = np.random.default_rng(18)
     rows = random_rows(rng, 3, 2)
-    assert total_correlation(product_table(rows)) == pytest.approx(0.0, abs=1e-12)
+    assert total_correlation(product_table(rows, Alphabet(3, 2))) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_total_correlation_diagonal_pair_is_log2():
@@ -194,9 +194,9 @@ def test_kl_to_product_is_kl_against_the_product_table_bit_for_bit():
 def test_kl_to_product_sums_log_rows_where_the_product_underflows():
     p = JointTable(Alphabet(2, 2), np.array([1e-300, 1e-300, 1e-300, 1.0]))
     rows = univariate_marginals(p)
-    assert np.any(product_table(rows).probs[p.probs > 0.0] == 0.0)
+    assert np.any(product_table(rows, p.alphabet).probs[p.probs > 0.0] == 0.0)
     with pytest.raises(SupportError):
-        kl(p, product_table(rows))
+        kl(p, product_table(rows, p.alphabet))
     log_q = np.add.outer(*np.log(rows.rows)).ravel()
     direct = float(np.sum(p.probs * (np.log(p.probs) - log_q)))
     assert kl_to_product(p, rows) == pytest.approx(direct, rel=1e-12)
@@ -257,7 +257,7 @@ def test_condition_zero_probability_evidence_raises():
 
 def test_odds_ratio_independent_pair_is_one():
     rows = MarginalSet(np.array([[0.3, 0.7], [0.6, 0.4]]))
-    p = product_table(rows)
+    p = product_table(rows, Alphabet(2, 2))
     assert conditional_odds_ratio(p, (0, 1), {}) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -311,7 +311,7 @@ def test_same_copula_reflexive_and_after_rescaling():
 def test_same_copula_detects_different_association():
     p = fig2_table()  # odds ratio 125
     rows = univariate_marginals(p)
-    q = product_table(rows)  # odds ratio 1, same marginals
+    q = product_table(rows, p.alphabet)  # odds ratio 1, same marginals
     assert not same_copula(p, q.floored(), tol=1e-8)
 
 

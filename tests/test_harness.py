@@ -123,7 +123,7 @@ def test_synthetic_spec_rejects_negative_seed():
 
 def test_bound_of_product_data_is_entropy_for_any_schedule():
     rng = np.random.default_rng(120)
-    data = product_table(random_rows(rng, 2, 3))
+    data = product_table(random_rows(rng, 2, 3), Alphabet(2, 3))
     for family in ("linear", "log-linear"):
         for steps in (1, 2, 4):
             sched = make_schedule(family, steps)

@@ -202,11 +202,11 @@ def test_projection_onto_own_marginals_is_trivial():
 def test_projection_of_product_is_product_of_targets():
     rng = np.random.default_rng(88)
     rows = random_rows(rng, 3, 2)
-    p = product_table(rows).floored()
+    p = product_table(rows, Alphabet(3, 2)).floored()
     target = random_rows(rng, 3, 2)
     v, report = iproject_exact(p, target)
     phat, _ = apply_factors(p, v)
-    np.testing.assert_allclose(phat.probs, product_table(target).probs, atol=1e-10)
+    np.testing.assert_allclose(phat.probs, product_table(target, p.alphabet).probs, atol=1e-10)
 
 
 def test_projection_matches_descent_oracle():

@@ -255,7 +255,7 @@ def test_remask_rows_are_distributions_with_exact_mask_mass():
 
 def test_brute_posterior_factorized_data_stays_factorized():
     rng = np.random.default_rng(49)
-    data = product_table(random_rows(rng, 3, 2))
+    data = product_table(random_rows(rng, 3, 2), Alphabet(3, 2))
     sched = make_schedule("linear", 3)
     x_next = SequenceState.all_masked(data.alphabet, 2)
     post = brute_reverse_posterior(data, x_next, sched)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from maskdiff.dist import (
+    Alphabet,
     JointTable,
     product_table,
     sample_states,
@@ -224,7 +225,7 @@ def test_one_shot_empirical_distribution_chi_squared():
 
 def test_all_modes_agree_on_product_data():
     rng = np.random.default_rng(102)
-    data = product_table(random_rows(rng, 2, 2)).floored()
+    data = product_table(random_rows(rng, 2, 2), Alphabet(2, 2)).floored()
     dm, cop = exact_models(data)
     tables = {}
     for mode in MODES:
