@@ -302,12 +302,12 @@ def _pattern_frames(
 ) -> tuple[_PatternFrame, ...]:
     """The frame of every mask pattern, in `itertools.product` order (MASK
     last); built once per (N, C, chunk_size)."""
-    c = num_categories
+    tokens, mask, every = slice(0, num_categories), slice(num_categories, None), slice(None)
     return tuple(
         _PatternFrame(
             masked,
-            tuple(slice(c, c + 1) if m else slice(0, c) for m in masked),
-            tuple(slice(None) if m else slice(0, c) for m in masked),
+            tuple(mask if m else tokens for m in masked),
+            tuple(every if m else tokens for m in masked),
             tuple(i for i, m in enumerate(masked) if m),
             chunk_size,
         )
