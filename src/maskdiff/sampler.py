@@ -418,8 +418,8 @@ class PatternRows:
             weights = fused_weights(cond, v, beta)
             total = weights.sum(axis=-1, keepdims=True)
             fused = np.divide(weights, total, out=np.zeros_like(weights), where=total > 0.0)
-            fused = np.moveaxis(fused, -1, i)
-            self._rows[masked, i, beta] = fused, np.moveaxis(total > 0.0, -1, i), fused > 0.0
+            fused = fused.swapaxes(-1, i)
+            self._rows[masked, i, beta] = fused, (total > 0.0).swapaxes(-1, i), fused > 0.0
         return self._rows[masked, i, beta]
 
     def _beta_free(self, masked: tuple[bool, ...], i: int) -> tuple[np.ndarray, ...]:
@@ -431,8 +431,8 @@ class PatternRows:
         v = rankwise_update(*np.broadcast_arrays(full, pattern_rows(self.dm, masked, i, causal=True)))
         if i not in self._copula:
             cond = pattern_rows(self.copula, (False,) * len(masked), i, causal=True)
-            self._copula[i] = np.moveaxis(cond, i, -1)
-        return self._copula[i], np.moveaxis(v, i, -1)
+            self._copula[i] = cond.swapaxes(i, -1)
+        return self._copula[i], v.swapaxes(i, -1)
 
 
 _Remask = tuple[float, tuple[tuple[int, ...], ...]]  # (ratio, masked chunks)
@@ -464,13 +464,13 @@ def _content_layers(
         else:
             remask = ratio, frame.chunks  # ClampError for a mixed chunk
         w = weights[frame.src]
-        if np.any(p & ~rows.evidence(frame.masked)):
+        if (p & ~rows.evidence(frame.masked)).any():
             raise SupportError("a reachable state's unmasked tokens have zero probability")
         for i in frame.positions:
             if i >= fill:
                 break
             row, ok, support = rows.row(frame.masked, i, cfg.beta)
-            if np.any(p & ~ok):
+            if (p & ~ok).any():
                 raise SupportError(f"fused row at position {i} has no mass")
             w, p = w * row, p & support
         yield frame, fill, remask, w, p
