@@ -15,7 +15,14 @@ from maskdiff.dist import (
     sample_states,
     univariate_marginals,
 )
-from maskdiff.errors import InvalidDistributionError, SupportError
+from maskdiff import models
+from maskdiff.errors import (
+    AlphabetMismatchError,
+    InvalidDistributionError,
+    MaskDiffError,
+    SupportError,
+)
+from maskdiff.harness import SyntheticSpec, gen_data
 from maskdiff.iproj import dcd_factors
 from maskdiff.models import (
     ARCopulaModel,
@@ -176,6 +183,114 @@ def test_pattern_rows_equal_the_per_state_queries_at_every_state(n, c):
                 except SupportError:
                     want = 0.0
                 assert np.abs(got - want).max() <= 1e-15
+
+
+# Every row a query returns, against the same query asked alone of a fresh
+# table. Each maker builds an equal table, bit for bit, on every call.
+ROW_TABLES = {
+    "markov_3x3": lambda: gen_data(SyntheticSpec("markov_chain", 3, 3, 0.8, seed=5)),
+    "markov_4x2": lambda: gen_data(SyntheticSpec("markov_chain", 4, 2, 0.8, seed=6)),
+    "zero_3x3": lambda: zero_table(np.random.default_rng(92), 3, 3),
+}
+
+
+def every_query(data: JointTable) -> list[tuple]:
+    """(query, args) for the full and causal rows at every state over
+    (C+1)^N, then the copula row at every mask-free prefix."""
+    n, c = data.num_positions, data.num_categories
+    states = [SequenceState(tokens, 1, data.alphabet)
+              for tokens in itertools.product(range(c + 1), repeat=n)]
+    return (
+        [(fn, (x,)) for x in states for fn in (dm_marginals_full, dm_marginals_causal)]
+        + [(ar_conditional, (prefix, i)) for i in range(n)
+           for prefix in itertools.product(range(c), repeat=i)]
+    )
+
+
+def answer(dm, cop, fn, args) -> tuple:
+    """The rows' shape and bytes, or the error's class and message."""
+    try:
+        out = fn(cop if fn is ar_conditional else dm, *args)
+    except MaskDiffError as exc:
+        return type(exc), str(exc)
+    rows = out if fn is ar_conditional else out.rows
+    return rows.shape, rows.tobytes()
+
+
+def answers(make, order) -> list[tuple]:
+    data = make()
+    dm, cop = DiffusionMarginalModel.exact(data), ARCopulaModel.exact(data)
+    return [answer(dm, cop, fn, args) for fn, args in order]
+
+
+@pytest.mark.parametrize("name", sorted(ROW_TABLES))
+def test_query_rows_do_not_depend_on_what_was_asked_before(monkeypatch, name):
+    """Asked alone of a fresh table, asked after every other query (in
+    order and in reverse), and with the query cache capped at 0 and 16,
+    each query gives the same bits or the same error."""
+    make = ROW_TABLES[name]
+    order = every_query(make())
+    alone = [answers(make, [query])[0] for query in order]
+    assert any(isinstance(a[0], type) for a in alone) == (name == "zero_3x3")
+    data = make()
+    dm, cop = DiffusionMarginalModel.exact(data), ARCopulaModel.exact(data)
+    assert [answer(dm, cop, fn, args) for fn, args in order] == alone
+    assert [answer(dm, cop, fn, args) for fn, args in order[::-1]] == alone[::-1]
+    for cap in (0, 16):
+        monkeypatch.setattr(models, "_QUERY_CACHE_CAP", cap)
+        assert answers(make, order) == alone
+        assert answers(make, order[::-1]) == alone[::-1]
+
+
+def ar_error(model, prefix, i) -> tuple[type, str]:
+    with pytest.raises(Exception) as info:
+        ar_conditional(model, prefix, i)
+    return info.type, str(info.value)
+
+
+def test_ar_conditional_takes_any_integer_sequence_as_its_prefix():
+    cop = ARCopulaModel.exact(ROW_TABLES["markov_4x2"]())
+    want = ar_conditional(cop, (1, 0), 2)
+    for prefix in ([1, 0], np.array([1, 0]), (np.int64(1), np.int64(0))):
+        assert ar_conditional(cop, prefix, 2).tobytes() == want.tobytes()
+    assert ar_error(cop, np.int64(1), 1) == (TypeError, "object of type 'numpy.int64' has no len()")
+
+
+def test_ar_conditional_errors_keep_their_class_and_message():
+    cop = ARCopulaModel.exact(ROW_TABLES["markov_4x2"]())  # C = 2
+    assert ar_error(cop, (0, -1), 2) == (InvalidDistributionError, "prefix token -1 out of range")
+    assert ar_error(cop, [0, 2], 2) == (InvalidDistributionError, "prefix token 2 out of range")
+    assert ar_error(cop, np.array([1, 2]), 2) == (
+        InvalidDistributionError, "prefix token 2 out of range")
+    # the first bad token is named
+    assert ar_error(cop, (0, 5, -1), 3) == (InvalidDistributionError, "prefix token 5 out of range")
+    assert ar_error(cop, (0,), 2) == (InvalidDistributionError, "prefix length 1 != position 2")
+    assert ar_error(cop, (0, 1, 0, 1), 4) == (AlphabetMismatchError, "position 4 out of range")
+    assert ar_error(cop, (), -1) == (AlphabetMismatchError, "position -1 out of range")
+
+
+def test_ar_conditional_zero_mass_prefix_raises_on_every_call():
+    model = ARCopulaModel.exact(JointTable(Alphabet(2, 2), np.array([0.5, 0.5, 0.0, 0.0])))
+    for _ in range(3):
+        assert ar_error(model, (1,), 1) == (SupportError, "prefix (1,) has zero probability")
+    np.testing.assert_array_equal(ar_conditional(model, (0,), 1), [0.5, 0.5])
+
+
+@pytest.mark.parametrize("rows,message", [
+    ([[np.nan, 1.0]], "marginal rows must be finite and nonnegative"),
+    ([[np.inf, 0.0]], "marginal rows must be finite and nonnegative"),
+    ([[-np.inf, 1.0]], "marginal rows must be finite and nonnegative"),
+    ([[0.5, 0.5], [-0.1, 1.1]], "marginal rows must be finite and nonnegative"),
+    ([[0.5, 0.5], [0.5, 0.5 + 2e-12]], "each marginal row must sum to 1 within 1e-12"),
+    (np.zeros((1, 0)), "each marginal row must sum to 1 within 1e-12"),
+    (np.zeros((0, 2)), "marginal rows must be a 2-D array with at least one row"),
+    ([], "marginal rows must be a 2-D array with at least one row"),
+    ([0.5, 0.5], "marginal rows must be a 2-D array with at least one row"),
+])
+def test_marginal_set_errors_keep_their_class_and_message(rows, message):
+    with pytest.raises(InvalidDistributionError) as info:
+        MarginalSet(np.asarray(rows, dtype=np.float64))
+    assert info.type is InvalidDistributionError and str(info.value) == message
 
 
 def test_models_on_one_table_share_its_prefix_marginals_built_once():

@@ -4,11 +4,11 @@ Each stream draws SEQUENCES sequences of one mode from one generator at
 (N, C, T) = (6, 3, 6) on a markov_chain table, and hashes every trace's
 `dumps()` in turn. The hashes were captured once and must not move: a
 change to the reverse step that alters any drawn token, any printed row
-or the order of RNG draws fails here. The dcd streams run again with the
+or the order of RNG draws fails here. Every stream runs again with the
 models' query cache disabled (every query misses) and with a small cap
 (the cache freezes after a few contexts), so the rows a miss computes,
 the rows a hit returns and the rows a frozen cache recomputes must all
-print the same bytes.
+print the same bytes and draw the same tokens.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ def test_stream_bytes(name):
 
 
 @pytest.mark.parametrize("cap", [0, 16])
-@pytest.mark.parametrize("name", ["dcd", "dcd_chunk2"])
+@pytest.mark.parametrize("name", sorted(STREAMS))
 def test_dcd_stream_bytes_do_not_depend_on_the_query_cache(monkeypatch, name, cap):
     mode, chunk, expected = STREAMS[name]
     monkeypatch.setattr(models, "_QUERY_CACHE_CAP", cap)
