@@ -170,6 +170,12 @@ class JointTable:
             m.setflags(write=False)
         return (*sums, tensor)
 
+    @cached_property
+    def prefix_rows(self) -> dict:
+        """The memo of prefix rows that `models` fills, shared by every model
+        over this table; empty until a model first asks for a row."""
+        return {}
+
     def floored(self) -> "JointTable":
         """Strictly positive variant: clamp entries below POSITIVITY_FLOOR up
         to it and renormalize."""
@@ -188,10 +194,11 @@ class MarginalSet:
         arr = np.asarray(self.rows, dtype=np.float64)
         if arr.ndim != 2 or not arr.shape[0]:
             raise InvalidDistributionError("marginal rows must be a 2-D array with at least one row")
-        if not np.all(np.isfinite(arr)) or arr.min(initial=0.0) < 0.0:
-            raise InvalidDistributionError("marginal rows must be finite and nonnegative")
         sums = arr.sum(axis=1)
-        if np.max(np.abs(sums - 1.0)) > NORMALIZATION_TOL:
+        # one pass accepts: a NaN or an infinity makes its row's sum miss 1
+        if not (arr.min(initial=0.0) >= 0.0 and np.abs(sums - 1.0).max() <= NORMALIZATION_TOL):
+            if not np.all(np.isfinite(arr)) or arr.min(initial=0.0) < 0.0:
+                raise InvalidDistributionError("marginal rows must be finite and nonnegative")
             raise InvalidDistributionError("each marginal row must sum to 1 within 1e-12")
         arr = arr / sums[:, None]
         arr.setflags(write=False)

@@ -11,9 +11,15 @@ corpus of complete sequences. All queries are exact conditioning of the
 backing table, so every answered row is a valid distribution by construction.
 Each row reads the table's prefix marginal M_k (the table summed over
 positions >= k, shared by all its models) at the unmasked tokens of its context.
-With u one past the last unmasked position of x_{t+1}, the full and the
-causal query share rows u..N-1: a causal miss right after the full miss at
-the same state copies them from it, so a dcd step computes them once.
+
+Most rows are prefix rows: row i of M_{i+1} given the unmasked tokens of a
+prefix of length i, which may hold MASK. Every copula conditional is one (a
+mask-free prefix), every causal row is one, and so is each full row past u,
+one past the last unmasked position of x_{t+1}, since every position from u
+on is masked. Each table keeps one memo of them, shared by all its models:
+a row is computed once per table and handed out read-only, so a dcd step
+computes rows u..N-1 once for both marginal queries, and a copula
+conditional reuses the causal row at the same prefix.
 
 Corpus files hold one sequence per line as N space-separated integer tokens
 (0-based). Model files are versioned JSON: {version, kind, N, C, payload}.
@@ -110,25 +116,22 @@ def load_model_file(path: str | Path) -> tuple[str, JointTable]:
 _QUERY_CACHE_CAP = 4096
 
 
-class _QueryCache(dict):
-    """(query, tokens) -> MarginalSet, at most _QUERY_CACHE_CAP entries.
-    `last_full` holds the tokens and raw rows of the latest full-context
-    miss, for the causal query at the same state to copy."""
-
-    last_full: tuple = ((), None)
-
-
 _Model = TypeVar("_Model", bound="_TableModel")
 
 
 @dataclass(frozen=True, eq=False)
 class _TableModel:
-    """A query provider backed by one joint table, "exact" or "counts";
-    marginal rows are memoized per context."""
+    """A query provider backed by one joint table, "exact" or "counts".
+    `_query_cache` memoizes its marginal queries, (query, tokens) ->
+    MarginalSet, up to _QUERY_CACHE_CAP entries. The prefix rows they are
+    built from live in the table's memo, `JointTable.prefix_rows`, shared by
+    every model over the table: prefix -> its read-only row, filled on
+    first use and frozen at _QUERY_CACHE_CAP entries by the same rule. A
+    prefix without mass raises and is not stored."""
 
     table: JointTable
     kind: str = KIND_EXACT
-    _query_cache: _QueryCache = field(default_factory=_QueryCache, init=False, repr=False)
+    _query_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def alphabet(self) -> Alphabet:
@@ -184,6 +187,26 @@ def _rows(model: _TableModel, context: tuple[int, ...], positions: Sequence[int]
     return [_normalized(position_sum(sub, context[:i].count(mask)), context) for i in positions]
 
 
+def _memo_store(model: _TableModel, prefix: tuple[int, ...], row: np.ndarray) -> np.ndarray:
+    """Make `row` read-only and memoize it as `prefix`'s row, until the memo
+    holds _QUERY_CACHE_CAP rows."""
+    row.setflags(write=False)
+    memo = model.table.prefix_rows
+    if len(memo) < _QUERY_CACHE_CAP:
+        memo[prefix] = row
+    return row
+
+
+def _prefix_row(model: _TableModel, prefix: tuple[int, ...]) -> np.ndarray:
+    """Row len(prefix) of M_{len(prefix)+1} given the unmasked tokens of
+    `prefix`, from the table's memo."""
+    row = model.table.prefix_rows.get(prefix)
+    if row is None:
+        context = prefix + (model.alphabet.mask_index,)
+        row = _memo_store(model, prefix, _rows(model, context, (len(prefix),))[0])
+    return row
+
+
 def _context_end(tokens: tuple[int, ...], mask: int) -> int:
     """u, one past the last unmasked position: every position >= u is masked."""
     return max((i + 1 for i, tok in enumerate(tokens) if tok != mask), default=0)
@@ -208,15 +231,7 @@ def pattern_rows(
 
 
 def _causal_rows(model: _TableModel, tokens: tuple[int, ...]) -> np.ndarray:
-    mask, stop = model.alphabet.mask_index, len(tokens)
-    rows = np.empty((stop, model.alphabet.num_categories), dtype=np.float64)
-    last, full = model._query_cache.last_full
-    if last == tokens:  # rows u..N-1 are the full query's raw rows: copy them
-        stop = _context_end(tokens, mask)
-        rows[stop:] = full[stop:]
-    for i in range(stop):
-        rows[i] = _rows(model, tokens[:i] + (mask,), (i,))[0]
-    return rows
+    return np.array([_prefix_row(model, tokens[:i]) for i in range(len(tokens))])
 
 
 def _full_rows(model: _TableModel, tokens: tuple[int, ...]) -> np.ndarray:
@@ -230,8 +245,7 @@ def _full_rows(model: _TableModel, tokens: tuple[int, ...]) -> np.ndarray:
         if tok != mask:
             rows[i, tok] = 1.0
         else:
-            rows[i] = next(head) if i < u else _rows(model, tokens[: i + 1], (i,))[0]
-    model._query_cache.last_full = (tokens, rows)
+            rows[i] = next(head) if i < u else _prefix_row(model, tokens[:i])
     return rows
 
 
@@ -267,17 +281,22 @@ def dm_marginals_causal(model: DiffusionMarginalModel, x_next: SequenceState) ->
 # ---------------------------------------------------------------------------
 
 def ar_conditional(model: ARCopulaModel, prefix: Sequence[int], i: int) -> np.ndarray:
-    """p(x_i = . | x_<i = prefix) as a length-C distribution; i = len(prefix)."""
+    """p(x_i = . | x_<i = prefix) as a length-C distribution; i = len(prefix).
+    The row is read-only: it is the table's memoized prefix row, the one the
+    causal query reads at the same prefix. Every call is one copula query."""
     n, c = model.alphabet.num_positions, model.alphabet.num_categories
     if not 0 <= i < n:
         raise AlphabetMismatchError(f"position {i} out of range")
     if len(prefix) != i:
         raise InvalidDistributionError(f"prefix length {len(prefix)} != position {i}")
-    key = tuple(int(tok) for tok in prefix)
-    for tok in key:
-        if not 0 <= tok < c:
-            raise InvalidDistributionError(f"prefix token {tok} out of range")
-    return _normalized(model.table.prefix_marginals[i + 1][key], key)
+    key = tuple(map(int, prefix))
+    if key and not (min(key) >= 0 and max(key) < c):
+        bad = next(tok for tok in key if not 0 <= tok < c)
+        raise InvalidDistributionError(f"prefix token {bad} out of range")
+    row = model.table.prefix_rows.get(key)
+    if row is None:
+        row = _memo_store(model, key, _normalized(model.table.prefix_marginals[i + 1][key], key))
+    return row
 
 
 def ar_chain_table(model: ARCopulaModel) -> JointTable:

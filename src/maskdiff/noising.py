@@ -9,9 +9,10 @@ conditional q(x_t | x_{t+1}) splits into two tractable pieces:
     data distribution on the unmasked tokens of x_{t+1} and clamps them, and
   * an independent re-masking kernel  q(x_t | x~_t, x_{t+1})  that re-masks
     each currently-masked position with probability alpha_t / alpha_{t+1}.
-    `remask_kernel` builds it from x_{t+1} alone; its one walker,
+    `remask_kernel` builds it from x_{t+1} alone; its walker,
     `RemaskDistribution.outcomes`, takes a content layer (a token tuple)
     and either draws one outcome or lists them all, by the `pick` it is given.
+    `sampler.sample` draws from the kernel's ratio and masked chunks itself.
 
 `brute_reverse_posterior` computes q(x_t | x_{t+1}) directly from Bayes'
 rule over all states, vectorised in numpy (`posterior_from_prior` takes the

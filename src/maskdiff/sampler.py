@@ -247,6 +247,8 @@ class StepLaw:
         row whose beta * max|V_i| passes 700: `fused_weights` shifts that one.
         The products are Python floats, which overflow without a warning."""
         v, beta = self.factors.values, self.beta
+        if beta * float(np.abs(v).max()) <= 700.0:  # the common case: no row is big
+            return list(np.exp(beta * v))
         big = [beta * top > 700.0 for top in np.abs(v).max(axis=1).tolist()]
         scales = iter(np.exp(beta * v[[not b for b in big]]))
         return [None if b else next(scales) for b in big]
@@ -551,24 +553,25 @@ def sample(
     trace. With rng=None a fresh generator is seeded from cfg.seed, making
     runs bit-reproducible."""
     alphabet = check_models(dm, copula, cfg.mode)
+    mask = alphabet.mask_index
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-
-    def remask_or_keep(row: tuple[float, float]) -> tuple[int]:
-        return (0 if rng.random() < row[0] else 1,)
-
     trace = SampleTrace(cfg.mode, cfg.seed, cfg.beta)
     x = SequenceState.all_masked(alphabet, cfg.steps)
     while x.time > 0:
         law = _step_law(dm, copula, x, cfg)
         tokens: tuple[int, ...] = ()
         for i, tok in enumerate(x.tokens[: law.fill]):
-            tokens += (draw_category(law.row(i, tokens), rng) if tok == alphabet.mask_index else tok,)
+            tokens += (draw_category(law.row(i, tokens), rng) if tok == mask else tok,)
         x_tilde = None if law.remask is None else tokens
         if x_tilde is None:  # positions past the fill are MASK in x and stay so
             x_t = SequenceState(tokens + x.tokens[law.fill:], law.t, alphabet)
-        else:
-            [(x_t, _)] = law.remask.outcomes(tokens, remask_or_keep)
+        else:  # the walker built a valid content layer: re-mask it chunk by chunk
+            for chunk in law.remask.mask_chunks:
+                if rng.random() < law.remask.ratio:
+                    lo, hi = chunk[0], chunk[-1] + 1
+                    tokens = tokens[:lo] + (mask,) * (hi - lo) + tokens[hi:]
+            x_t = SequenceState(tokens, law.t, alphabet)
         trace.steps.append(
             StepRecord(x, x_t, x_tilde, law.factors, law.full, law.causal, law.copula_queries)
         )

@@ -242,6 +242,54 @@ def test_query_rows_do_not_depend_on_what_was_asked_before(monkeypatch, name):
         assert answers(make, order[::-1]) == alone[::-1]
 
 
+def test_models_on_one_table_share_one_prefix_row_memo():
+    data = ROW_TABLES["markov_3x3"]()
+    dm, cop = DiffusionMarginalModel.exact(data), ARCopulaModel.exact(data)
+    memo = data.prefix_rows
+    assert memo == {}
+    row = ar_conditional(cop, (2, 0), 2)
+    assert memo[(2, 0)] is row
+    causal = dm_marginals_causal(dm, SequenceState((2, 0, 1), 1, data.alphabet))
+    assert set(memo) == {(), (2,), (2, 0)} and memo[(2, 0)] is row
+    assert causal.rows[2].tobytes() == row.tobytes()
+    mask = data.alphabet.mask_index
+    dm_marginals_full(dm, SequenceState((mask, 1, mask), 1, data.alphabet))
+    assert (mask, 1) in memo  # the full query's row past u
+
+
+def test_the_prefix_row_memo_freezes_at_the_query_cache_cap(monkeypatch):
+    monkeypatch.setattr(models, "_QUERY_CACHE_CAP", 16)
+    make = ROW_TABLES["markov_4x2"]
+    order = every_query(make())
+    want = answers(make, order)
+    data = make()
+    dm, cop = DiffusionMarginalModel.exact(data), ARCopulaModel.exact(data)
+    memo = data.prefix_rows
+    for query, expected in zip(order, want):
+        assert answer(dm, cop, *query) == expected
+        assert len(memo) <= 16
+    assert len(memo) == 16 and len(dm._query_cache) == 16
+
+
+def test_ar_conditional_rows_are_read_only():
+    cop = ARCopulaModel.exact(ROW_TABLES["markov_3x3"]())
+    for _ in range(2):  # the miss and the hit
+        row = ar_conditional(cop, (1,), 1)
+        with pytest.raises(ValueError):
+            row[0] = 0.5
+
+
+def test_a_prefix_without_mass_is_not_memoized():
+    data = JointTable(Alphabet(2, 2), np.array([0.5, 0.5, 0.0, 0.0]))  # x0 = 1 impossible
+    dm, cop = DiffusionMarginalModel.exact(data), ARCopulaModel.exact(data)
+    memo = data.prefix_rows
+    with pytest.raises(SupportError, match=r"prefix \(1,\) has zero"):
+        ar_conditional(cop, (1,), 1)
+    with pytest.raises(SupportError, match=r"prefix \(1, 2\) has zero"):
+        dm_marginals_causal(dm, SequenceState((1, 2), 1, data.alphabet))
+    assert set(memo) == {()}
+
+
 def ar_error(model, prefix, i) -> tuple[type, str]:
     with pytest.raises(Exception) as info:
         ar_conditional(model, prefix, i)
