@@ -258,10 +258,10 @@ def test_models_on_one_table_share_one_prefix_row_memo():
 
 
 def test_the_prefix_row_memo_freezes_at_the_query_cache_cap(monkeypatch):
-    monkeypatch.setattr(models, "_QUERY_CACHE_CAP", 16)
     make = ROW_TABLES["markov_4x2"]
     order = every_query(make())
-    want = answers(make, order)
+    want = answers(make, order)  # at the default cap
+    monkeypatch.setattr(models, "_QUERY_CACHE_CAP", 16)
     data = make()
     dm, cop = DiffusionMarginalModel.exact(data), ARCopulaModel.exact(data)
     memo = data.prefix_rows
