@@ -8,14 +8,13 @@ tensor moved from the all-mask state at time T to time 0 by the sampler's
 and quality is measured as KL(data || induced) plus the expected negative
 log-likelihood of generated sequences under the true data table. The
 step-count lower bound H(data) + sum_t E[TC(reverse posterior)] is
-evaluated exactly in the same shape: one tensor pass per step and chunk
-mask pattern takes the Bayes-rule posterior of every state with that
-pattern and its total correlation. The negative ELBO of a factorized
-denoiser, which may give each state any rows, is evaluated state by state
-from `posterior_from_prior` (one forward prior per step), so the bound's
-equality case is checked to rounding error by two independent paths. A
-sweep builds each mode's pattern rows once and shares them across its
-(T, beta) cells.
+evaluated exactly in closed form from the data's 2^N subset entropies: it
+builds no forward marginal and no posterior, and a step costs the same at
+any C. The negative ELBO of a factorized denoiser, which may give each
+state any rows, is evaluated state by state from `posterior_from_prior`
+(one forward prior per step), so the bound's equality case is checked to
+rounding error by two independent paths. A sweep builds each mode's
+pattern rows once and shares them across its (T, beta) cells.
 
 Sweeps draw no samples: given their config they are deterministic and the
 CSV is byte-stable (wall-clock timings are opt-in and empty by default).
@@ -23,6 +22,7 @@ CSV is byte-stable (wall-clock timings are opt-in and empty by default).
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from collections import defaultdict
@@ -36,7 +36,6 @@ from .dist import (
     Alphabet,
     JointTable,
     MarginalSet,
-    along_axis,
     entropy,
     format_float_short,
     kl,
@@ -56,7 +55,7 @@ from .models import ARCopulaModel, DiffusionMarginalModel, ar_chain_table
 from .noising import (
     NoiseSchedule,
     SequenceState,
-    _pattern_frames,
+    chunk_groups,
     forward_state_distribution,
     make_schedule,
     posterior_from_prior,
@@ -157,77 +156,58 @@ def _posteriors(
 
 
 def elbo_bound(data: JointTable, sched: NoiseSchedule) -> float:
-    """H(data) + sum_{t=1..T} E_{x_t}[TC(q(X_{t-1} | x_t))], exactly. The
-    reachable x_t that share a mask pattern differ only in their unmasked
-    tokens, so one tensor pass per (t, pattern) takes the TC of all their
-    posteriors (`_pattern_tc`), over the pattern frames the dense step uses;
-    the forward process reaches no pattern with a partly masked chunk. A
-    pattern with at most one masked position skips the TC arithmetic: its
-    one marginal is the posterior itself, so its TC is exactly 0. Each live
-    x_t (q(x_t) > 0) fails as `posterior_from_prior` and
-    `total_correlation` would fail on it, and the first failing state in
-    (t, table) order names the error."""
-    frames = _pattern_frames(data.num_positions, data.num_categories, sched.chunk_size)
-    total = entropy(data)
-    prior = forward_state_distribution(data, 0, sched).tensor()
+    """H(data) + sum_{t=1..T} E_{x_t}[TC(q(X_{t-1} | x_t))], exactly, from
+    the data's subset entropies H_A (`_subset_entropies`). Given x_t, with
+    U its unmasked chunks, the reverse posterior is two independent parts:
+    each masked chunk was unmasked at t-1 with probability
+    r_t = (a_t - a_{t-1}) / a_t, and the tokens of the revealed set S follow
+    data(X_S | x_U). Averaged over x_t its TC is
+
+        E[sum_{i in S} (H_{U+i} - H_U) - (H_{U+S} - H_U)] + h(r_t) a_t (N - K),
+
+    where each of the K chunks is independently in U (probability 1 - a_t),
+    in S (a_t - a_{t-1}) or masked at both times (a_{t-1}), and h is the
+    binary entropy: the positions of a chunk share one reveal. The first
+    term is summed once over the 3^K labellings, grouped by (|U|, |S|), so
+    a step costs O(K^2). A step's term below -1e-9 raises
+    InvalidDistributionError, as `kl` does; slack above it is clamped at 0."""
+    n, h = data.num_positions, _subset_entropies(data)
+    bits = [sum(1 << i for i in chunk) for chunk in chunk_groups(n, sched.chunk_size)]
+    k = len(bits)
+    gains = np.zeros((k + 1, k + 1))
+    for labels in itertools.product(range(3), repeat=k):  # 0: in U, 1: in S, 2: masked at both
+        u = sum(b for b, label in zip(bits, labels) if label == 0)
+        s = sum(b for b, label in zip(bits, labels) if label == 1)
+        revealed = sum(h[u | 1 << i] - h[u] for i in range(n) if s >> i & 1)
+        gains[labels.count(0), labels.count(1)] += revealed - (h[u | s] - h[u])
+    in_u, in_s = np.indices(gains.shape)
+    in_neither = np.maximum(k - in_u - in_s, 0)
+    excess = 0.0
     for t in range(1, sched.steps + 1):
-        qt = forward_state_distribution(data, t, sched).tensor()
-        step = sched.step_mask_prob(t - 1)
-        faults = np.zeros(qt.shape, dtype=np.int8)
-        for frame in frames:
-            weight = qt[frame.src]
-            live = weight > 0.0
-            if not live.any():
-                continue
-            tc, fault = _pattern_tc(prior[frame.dest], frame.chunks, step)
-            faults[frame.src] = fault * live
-            if tc is not None:
-                total += float(np.sum(weight * tc))
-        if faults.any():
-            error, message = _BOUND_FAULTS[int(faults.flat[np.flatnonzero(faults)[0]])]
-            raise error(message)
-        prior = qt
-    return total
+        a_prev, a_t = sched.alpha(t - 1), sched.alpha(t)
+        weights = (1.0 - a_t) ** in_u * (a_t - a_prev) ** in_s * a_prev ** in_neither
+        shared = _binary_entropy((a_t - a_prev) / a_t) * a_t * (n - k)
+        term = float(np.sum(gains * weights)) + shared
+        if term < -1e-9:
+            raise InvalidDistributionError(f"a step's expected TC is {term}, below rounding slack")
+        excess += max(term, 0.0)
+    return h[-1] + excess
 
 
-_BOUND_FAULTS = {
-    1: (SupportError, "x_t is unreachable under the forward process"),
-    2: (InvalidDistributionError, "a reverse posterior's TC is below rounding slack"),
-}
+def _subset_entropies(data: JointTable) -> list[float]:
+    """H(X_A) of the data's marginal on every position set A, indexed by the
+    bit mask of A (bit i is position i); the empty set's is 0."""
+    tensor, n = data.tensor(), data.num_positions
+    out = [0.0]
+    for a in range(1, 1 << n):
+        p = np.ravel(tensor.sum(axis=tuple(i for i in range(n) if not a >> i & 1)))
+        p = p[p > 0.0]
+        out.append(float(-np.sum(p * np.log(p))))
+    return out
 
 
-def _pattern_tc(
-    p: np.ndarray, chunks: Sequence[tuple[int, ...]], step: float
-) -> tuple[np.ndarray | None, np.ndarray]:
-    """TC(q(X_{t-1} | x_t)) for every x_t of one mask pattern, with a fault
-    code per state (0 none, else a key of `_BOUND_FAULTS`). p is q(X_{t-1})
-    with all C+1 values on the masked chunks' axes and the states' tokens
-    on the others; the results have 1 on the masked axes. Each masked chunk
-    weighs its sources 1 (all MASK), step (all content) or 0 (mixed); each
-    unmasked chunk weighs every state by 1 - step, which normalizing
-    cancels. An unmasked position is a point mass and adds no TC, so with
-    at most one masked position the TC is None: 0 at every state."""
-    for chunk in chunks:
-        block = np.zeros((p.shape[chunk[0]],) * len(chunk))
-        block[(-1,) * len(chunk)] = 1.0
-        block[(slice(0, -1),) * len(chunk)] = step
-        p = p * along_axis(block, chunk[-1], p.ndim)
-    axes = tuple(i for chunk in chunks for i in chunk)
-    z = p.sum(axis=axes, keepdims=True)
-    fault = np.where(z <= 0.0, 1, 0).astype(np.int8)
-    if len(axes) <= 1:
-        return None, fault
-    post = np.divide(p, z, out=np.zeros_like(p), where=z > 0.0)
-    marginals = [post.sum(axis=tuple(j for j in axes if j != i), keepdims=True) for i in axes]
-    product, support = math.prod(marginals), post > 0.0
-    log_product = np.log(np.where(support & (product > 0.0), product, 1.0))
-    if np.any(support & (product <= 0.0)):  # underflow: sum the log marginals
-        log_sum = sum(np.log(m, out=np.zeros_like(m), where=m > 0.0) for m in marginals)
-        log_product = np.where(product > 0.0, log_product, log_sum)
-    logs = np.log(np.where(support, post, 1.0)) - log_product
-    tc = np.sum(np.where(support, post * logs, 0.0), axis=axes, keepdims=True)
-    fault[tc < -1e-9] = 2  # tc is 0 where z <= 0: no posterior there
-    return np.maximum(tc, 0.0), fault
+def _binary_entropy(r: float) -> float:
+    return -sum(p * math.log(p) for p in (r, 1.0 - r) if p > 0.0)
 
 
 DenoiserRows = Callable[[SequenceState], MarginalSet]

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import math
 import sys
 from collections import defaultdict
+from typing import Sequence
 
 import numpy as np
 
@@ -13,12 +15,20 @@ from maskdiff.dist import (
     JointTable,
     MarginalSet,
     along_axis,
+    entropy,
     position_sum,
     state_to_index,
 )
 from maskdiff.iproj import IPF_TOL, FactorMatrix, IprojReport
 from maskdiff.models import ARCopulaModel, DiffusionMarginalModel
-from maskdiff.noising import SequenceState, positive_options
+from maskdiff.errors import InvalidDistributionError, SupportError
+from maskdiff.noising import (
+    NoiseSchedule,
+    SequenceState,
+    _pattern_frames,
+    forward_state_distribution,
+    positive_options,
+)
 from maskdiff.sampler import SamplerConfig, StepLaw, _step_law, check_models
 
 # finite betas where beta * V itself overflows a float
@@ -148,3 +158,74 @@ def ipf_by_explicit_weights(
         iterations += 1
         current = gap()
     return FactorMatrix(values).canonical(), IprojReport(iterations, current, current <= IPF_TOL)
+
+
+def per_pattern_bound(data: JointTable, sched: NoiseSchedule) -> float:
+    """H(data) + sum_{t=1..T} E_{x_t}[TC(q(X_{t-1} | x_t))] by one tensor pass
+    per (t, mask pattern): the reachable x_t that share a pattern differ only
+    in their unmasked tokens, so `_pattern_tc` takes the TC of all their
+    posteriors at once, over the pattern frames the dense step uses. The
+    oracle for `elbo_bound`'s closed form. Each live x_t (q(x_t) > 0) fails
+    as `posterior_from_prior` and `total_correlation` would fail on it, and
+    the first failing state in (t, table) order names the error."""
+    frames = _pattern_frames(data.num_positions, data.num_categories, sched.chunk_size)
+    total = entropy(data)
+    prior = forward_state_distribution(data, 0, sched).tensor()
+    for t in range(1, sched.steps + 1):
+        qt = forward_state_distribution(data, t, sched).tensor()
+        step = sched.step_mask_prob(t - 1)
+        faults = np.zeros(qt.shape, dtype=np.int8)
+        for frame in frames:
+            weight = qt[frame.src]
+            live = weight > 0.0
+            if not live.any():
+                continue
+            tc, fault = _pattern_tc(prior[frame.dest], frame.chunks, step)
+            faults[frame.src] = fault * live
+            if tc is not None:
+                total += float(np.sum(weight * tc))
+        if faults.any():
+            error, message = _BOUND_FAULTS[int(faults.flat[np.flatnonzero(faults)[0]])]
+            raise error(message)
+        prior = qt
+    return total
+
+
+_BOUND_FAULTS = {
+    1: (SupportError, "x_t is unreachable under the forward process"),
+    2: (InvalidDistributionError, "a reverse posterior's TC is below rounding slack"),
+}
+
+
+def _pattern_tc(
+    p: np.ndarray, chunks: Sequence[tuple[int, ...]], step: float
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """TC(q(X_{t-1} | x_t)) for every x_t of one mask pattern, with a fault
+    code per state (0 none, else a key of `_BOUND_FAULTS`). p is q(X_{t-1})
+    with all C+1 values on the masked chunks' axes and the states' tokens
+    on the others; the results have 1 on the masked axes. Each masked chunk
+    weighs its sources 1 (all MASK), step (all content) or 0 (mixed); each
+    unmasked chunk weighs every state by 1 - step, which normalizing
+    cancels. An unmasked position is a point mass and adds no TC, so with
+    at most one masked position the TC is None: 0 at every state."""
+    for chunk in chunks:
+        block = np.zeros((p.shape[chunk[0]],) * len(chunk))
+        block[(-1,) * len(chunk)] = 1.0
+        block[(slice(0, -1),) * len(chunk)] = step
+        p = p * along_axis(block, chunk[-1], p.ndim)
+    axes = tuple(i for chunk in chunks for i in chunk)
+    z = p.sum(axis=axes, keepdims=True)
+    fault = np.where(z <= 0.0, 1, 0).astype(np.int8)
+    if len(axes) <= 1:
+        return None, fault
+    post = np.divide(p, z, out=np.zeros_like(p), where=z > 0.0)
+    marginals = [post.sum(axis=tuple(j for j in axes if j != i), keepdims=True) for i in axes]
+    product, support = math.prod(marginals), post > 0.0
+    log_product = np.log(np.where(support & (product > 0.0), product, 1.0))
+    if np.any(support & (product <= 0.0)):  # underflow: sum the log marginals
+        log_sum = sum(np.log(m, out=np.zeros_like(m), where=m > 0.0) for m in marginals)
+        log_product = np.where(product > 0.0, log_product, log_sum)
+    logs = np.log(np.where(support, post, 1.0)) - log_product
+    tc = np.sum(np.where(support, post * logs, 0.0), axis=axes, keepdims=True)
+    fault[tc < -1e-9] = 2  # tc is 0 where z <= 0: no posterior there
+    return np.maximum(tc, 0.0), fault
