@@ -181,7 +181,7 @@ def elbo_bound(data: JointTable, sched: NoiseSchedule) -> float:
         revealed = sum(h[u | 1 << i] - h[u] for i in range(n) if s >> i & 1)
         gains[labels.count(0), labels.count(1)] += revealed - (h[u | s] - h[u])
     in_u, in_s = np.indices(gains.shape)
-    in_neither = np.maximum(k - in_u - in_s, 0)
+    in_neither = np.maximum(k - in_u - in_s, 0)  # cells with |U| + |S| > K hold no gain
     excess = 0.0
     for t in range(1, sched.steps + 1):
         a_prev, a_t = sched.alpha(t - 1), sched.alpha(t)
