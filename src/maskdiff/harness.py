@@ -67,7 +67,6 @@ from .sampler import (
     check_models,
     dense_step,
     required_models,
-    sample,
 )
 
 DATA_KINDS = ("random_dirichlet", "correlated_phrases", "markov_chain")
@@ -246,30 +245,19 @@ def nelbo_factorized(
 @dataclass(frozen=True)
 class InducedResult:
     table: JointTable
-    method: str  # "exact" | "monte_carlo"
+    method: str  # the library returns only "exact"
     num_samples: int | None = None
     max_cell_stderr: float | None = None
 
 
 def induced_distribution(
-    dm: DiffusionMarginalModel | None,
-    copula: ARCopulaModel | None,
-    cfg: SamplerConfig,
-    mc_samples: int | None = None,
-    rng: np.random.Generator | None = None,
+    dm: DiffusionMarginalModel | None, copula: ARCopulaModel | None, cfg: SamplerConfig
 ) -> InducedResult:
     """Exact marginal law of the final sequence under cfg.mode, by dynamic
     programming over the per-step laws, one tensor pass per (step, mask
-    pattern): see `_dense_law`. Beyond the enumeration cap a Monte Carlo
-    estimate is returned when mc_samples is given, else CapExceededError."""
-    alphabet = check_models(dm, copula, cfg.mode)
-    if cfg.mode != MODE_AR_ONLY:
-        try:
-            _check_exact_cap(alphabet, cfg.steps)
-        except CapExceededError:
-            if mc_samples is None:
-                raise
-            return _induced_monte_carlo(dm, copula, cfg, alphabet, mc_samples, rng)
+    pattern): see `_dense_law`. Raises CapExceededError when a dense mode's
+    (C+1)^N * T passes EXACT_INDUCED_CAP."""
+    _check_exact_cap(check_models(dm, copula, cfg.mode), cfg.mode, cfg.steps)
     return _induced_exact(PatternRows(dm, copula, cfg.mode), cfg)
 
 
@@ -282,16 +270,13 @@ def _induced_exact(rows: PatternRows, cfg: SamplerConfig) -> InducedResult:
     return InducedResult(JointTable(rows.dm.alphabet, probs.ravel()), "exact")
 
 
-def _check_exact_cap(alphabet: Alphabet, steps: int) -> None:
-    """Raise CapExceededError when an exact evaluation of `steps` steps over
-    `alphabet` would pass EXACT_INDUCED_CAP ((C+1)^N * T)."""
+def _check_exact_cap(alphabet: Alphabet, mode: str, steps: int) -> None:
+    """Raise CapExceededError when an exact evaluation of `steps` steps of a
+    dense mode over `alphabet` would pass EXACT_INDUCED_CAP ((C+1)^N * T);
+    ar_only, whose law is the copula's chain table, is exempt."""
     cells = (alphabet.num_categories + 1) ** alphabet.num_positions * steps
-    if cells > EXACT_INDUCED_CAP:
-        raise CapExceededError(
-            f"(C+1)^N * T = {cells} exceeds the exact cap "
-            f"{EXACT_INDUCED_CAP}; call induced_distribution(..., mc_samples=k) "
-            "from Python for a Monte Carlo estimate"
-        )
+    if mode != MODE_AR_ONLY and cells > EXACT_INDUCED_CAP:
+        raise CapExceededError(f"(C+1)^N * T = {cells} exceeds the exact cap {EXACT_INDUCED_CAP}")
 
 
 def _dense_law(rows: PatternRows, cfg: SamplerConfig) -> np.ndarray:
@@ -304,27 +289,6 @@ def _dense_law(rows: PatternRows, cfg: SamplerConfig) -> np.ndarray:
     for time in range(cfg.steps, 0, -1):
         weights, present = dense_step(rows, weights, present, time, cfg)
     return weights[(slice(0, c),) * n]
-
-
-def _induced_monte_carlo(
-    dm: DiffusionMarginalModel | None,
-    copula: ARCopulaModel | None,
-    cfg: SamplerConfig,
-    alphabet: Alphabet,
-    num_samples: int,
-    rng: np.random.Generator | None,
-) -> InducedResult:
-    if num_samples < 1:
-        raise InvalidDistributionError("mc_samples must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    counts = np.zeros(alphabet.num_states, dtype=np.float64)
-    for _ in range(num_samples):
-        x0, _ = sample(dm, copula, cfg, rng)
-        counts[state_to_index(alphabet, x0.tokens)] += 1.0
-    table = JointTable(alphabet, counts / num_samples)
-    stderr = float(math.sqrt(0.25 / num_samples))
-    return InducedResult(table, "monte_carlo", num_samples, stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +365,7 @@ def run_sweep(
                               chunk_size=chunk_size)
                 for beta in betas
             )
-            alphabet = check_data_models(data, dm, copula, mode)
-            if mode != MODE_AR_ONLY:
-                _check_exact_cap(alphabet, steps)
+            _check_exact_cap(check_data_models(data, dm, copula, mode), mode, steps)
     bound_cache: dict[int, float] = {}
     rows = {mode: PatternRows(dm, copula, mode) for mode in modes}
     results: list[ExperimentResult] = []

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Collection, Sequence, TypeVar
 
 import numpy as np
 
@@ -212,20 +212,18 @@ def _context_end(tokens: tuple[int, ...], mask: int) -> int:
     return max((i + 1 for i, tok in enumerate(tokens) if tok != mask), default=0)
 
 
-def pattern_rows(
-    model: _TableModel, masked: Sequence[bool], i: int, *, causal: bool = False
-) -> np.ndarray:
-    """Batched twin of `_rows`: row i of `dm_marginals_full` (masked i) or
-    `dm_marginals_causal` for every state whose mask pattern is `masked`, at
-    once. The result is an N-axis tensor with C on the axes of the unmasked
-    positions the row reads and on axis i (the row), and 1 elsewhere; a
-    context without mass gets a zero row. With nothing masked, the causal
-    row is the copula conditional p(x_i | x_<i) for every prefix."""
-    u = max((j + 1 for j, m in enumerate(masked) if not m), default=0)
-    k = i + 1 if causal else max(u, i + 1)  # the row reads M_k
-    other = tuple(j for j in range(k) if masked[j] and j != i)
+def pattern_rows(model: _TableModel, given: Collection[int], i: int) -> np.ndarray:
+    """Batched twin of `_rows`: p(x_i | x_given) for every assignment of the
+    positions in `given` (i not among them), at once. The result is an N-axis
+    tensor with C on the axes of `given` and on axis i (the row), and 1
+    elsewhere; a context without mass gets a zero row. Row i of
+    `dm_marginals_full` passes a pattern's unmasked positions, of
+    `dm_marginals_causal` those below i, and the copula conditional
+    p(x_i | x_<i) passes range(i)."""
+    k = max((i, *given)) + 1  # the row reads M_k
+    other = tuple(j for j in range(k) if j != i and j not in given)
     sub = model.table.prefix_marginals[k].sum(axis=other, keepdims=True)
-    sub = sub.reshape(sub.shape + (1,) * (len(masked) - k))
+    sub = sub.reshape(sub.shape + (1,) * (model.alphabet.num_positions - k))
     mass = sub.sum(axis=i, keepdims=True)
     return np.divide(sub, mass, out=np.zeros_like(sub), where=mass > 0.0)
 

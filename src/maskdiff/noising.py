@@ -9,10 +9,10 @@ conditional q(x_t | x_{t+1}) splits into two tractable pieces:
     data distribution on the unmasked tokens of x_{t+1} and clamps them, and
   * an independent re-masking kernel  q(x_t | x~_t, x_{t+1})  that re-masks
     each currently-masked position with probability alpha_t / alpha_{t+1}.
-    `remask_kernel` builds it from x_{t+1} alone; its walker,
-    `RemaskDistribution.outcomes`, takes a content layer (a token tuple)
-    and either draws one outcome or lists them all, by the `pick` it is given.
-    `sampler.sample` draws from the kernel's ratio and masked chunks itself.
+    `remask_kernel` builds it from x_{t+1} alone;
+    `RemaskDistribution.outcomes` takes a content layer (a token tuple) and
+    lists every outcome with mass. `sampler.sample` draws from the kernel's
+    ratio and masked chunks itself.
 
 `brute_reverse_posterior` computes q(x_t | x_{t+1}) directly from Bayes'
 rule over all states, vectorised in numpy (`posterior_from_prior` takes the
@@ -30,7 +30,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -193,11 +193,6 @@ def aux_posterior(data: JointTable, x_next: SequenceState) -> JointTable:
     return JointTable(data.alphabet, full.ravel())
 
 
-def positive_options(row: Sequence[float]) -> list[int]:
-    """Every index of `row` with positive mass: the pick that enumerates."""
-    return [k for k in range(len(row)) if row[k] > 0.0]
-
-
 @dataclass(frozen=True)
 class RemaskDistribution:
     """Factorized (per chunk) distribution of x_t given x_{t+1} and a
@@ -234,18 +229,16 @@ class RemaskDistribution:
             rows[i, tokens[i]] = 1.0 - self.ratio
         return MarginalSet(rows)
 
-    def outcomes(
-        self, x_tilde: Sequence[int], pick: Callable[[tuple[float, float]], Iterable[int]]
-    ) -> list[tuple[SequenceState, float]]:
-        """x_t with its probability, chunk by chunk and breadth-first: each
-        masked chunk takes the options `pick` chooses (once per chunk) from
-        its row (re-mask, keep) = (ratio, 1 - ratio)."""
+    def outcomes(self, x_tilde: Sequence[int]) -> list[tuple[SequenceState, float]]:
+        """Every x_t with mass and its probability, chunk by chunk and
+        breadth-first: each masked chunk takes each option of its row
+        (re-mask, keep) = (ratio, 1 - ratio) that has mass."""
         mask = self.x_next.alphabet.mask_index
         row = (self.ratio, 1.0 - self.ratio)
+        options = [k for k in (0, 1) if row[k] > 0.0]
         paths = [(self._content(x_tilde), 1.0)]
         for group in self.mask_chunks:
             lo, hi = group[0], group[-1] + 1
-            options = list(pick(row))
             grown = []
             for tokens, p in paths:
                 remasked = tokens[:lo] + (mask,) * (hi - lo) + tokens[hi:]
@@ -302,7 +295,8 @@ def _pattern_frames(
     num_positions: int, num_categories: int, chunk_size: int
 ) -> tuple[_PatternFrame, ...]:
     """The frame of every mask pattern, in `itertools.product` order (MASK
-    last); built once per (N, C, chunk_size)."""
+    last); built once per (N, C, chunk_size) and cached, with no bound, for
+    the life of the process: 2^N frames per entry, 13.6 MB at (14, 2)."""
     tokens, mask, every = slice(0, num_categories), slice(num_categories, None), slice(None)
     return tuple(
         _PatternFrame(

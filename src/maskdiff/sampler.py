@@ -427,12 +427,14 @@ class PatternRows:
     def _beta_free(self, masked: tuple[bool, ...], i: int) -> tuple[np.ndarray, ...]:
         """(the marginal rows, True, their support) unfused; (copula rows, V)
         with the row on the last axis when fused."""
-        full = pattern_rows(self.dm, masked, i)
+        unmasked = tuple(j for j, m in enumerate(masked) if not m)
+        full = pattern_rows(self.dm, unmasked, i)
         if not self.fused:
             return full, np.True_, full > 0.0
-        v = rankwise_update(*np.broadcast_arrays(full, pattern_rows(self.dm, masked, i, causal=True)))
+        causal = pattern_rows(self.dm, tuple(j for j in unmasked if j < i), i)
+        v = rankwise_update(*np.broadcast_arrays(full, causal))
         if i not in self._copula:
-            cond = pattern_rows(self.copula, (False,) * len(masked), i, causal=True)
+            cond = pattern_rows(self.copula, range(i), i)
             self._copula[i] = cond.swapaxes(i, -1)
         return self._copula[i], v.swapaxes(i, -1)
 

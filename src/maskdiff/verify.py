@@ -58,7 +58,6 @@ from .noising import (
     aux_posterior,
     brute_reverse_posterior,
     make_schedule,
-    positive_options,
     remask_kernel,
     renormalize_marginals,
 )
@@ -233,7 +232,7 @@ def _factorization_gap(data: JointTable, x_next: SequenceState, sched) -> float:
     aux_states = all_states(data.alphabet)
     kernel = remask_kernel(x_next, sched)
     for idx in np.nonzero(aux.probs)[0]:
-        for state, p in kernel.outcomes(aux_states[idx], positive_options):
+        for state, p in kernel.outcomes(aux_states[idx]):
             combined[state_to_index(brute.alphabet, state.tokens)] += aux.probs[idx] * p
     return float(np.max(np.abs(combined - brute.probs)))
 

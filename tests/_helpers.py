@@ -27,7 +27,6 @@ from maskdiff.noising import (
     SequenceState,
     _pattern_frames,
     forward_state_distribution,
-    positive_options,
 )
 from maskdiff.sampler import SamplerConfig, StepLaw, _step_law, check_models
 
@@ -76,7 +75,7 @@ def walk(law: StepLaw) -> list[tuple[tuple[int, ...], float]]:
         grown = []
         for prefix, weight in paths:
             row = law.row(i, prefix)
-            grown.extend((prefix + (cat,), weight * float(row[cat])) for cat in positive_options(row))
+            grown.extend((prefix + (cat,), weight * float(p)) for cat, p in enumerate(row) if p > 0.0)
         paths = grown
     return paths
 
@@ -107,7 +106,7 @@ def step_by_enumeration(
         if law.remask is None:
             out[SequenceState(tokens + pad, law.t, alphabet)] += weight
             continue
-        for x_t, p in law.remask.outcomes(tokens, positive_options):
+        for x_t, p in law.remask.outcomes(tokens):
             out[x_t] += weight * p
     return dict(out)
 

@@ -448,7 +448,7 @@ def test_cap_advice_names_only_what_exists(tmp_path, capsys):
     assert run(["eval", "--data", str(table), "--steps", "4"]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "(C+1)^N * T = 4096" in err
-    assert "induced_distribution(..., mc_samples=k)" in err and "pass mc_samples" not in err
+    assert "mc_samples" not in err
 
 
 def test_readme_config_example_runs(tmp_path, capsys):

@@ -499,17 +499,16 @@ def test_induced_ar_only_is_chain_table():
     np.testing.assert_allclose(out.table.probs, ar_chain_table(cop).probs, atol=1e-12)
 
 
-def test_induced_exact_cap_enforced_and_mc_fallback():
+@pytest.mark.parametrize("mode", ["dcd", "diffusion_only", "dcd_ar_unmask"])
+def test_induced_exact_cap_holds_at_its_edge(mode):
     rng = np.random.default_rng(122)
-    data = random_table(rng, 4, 3, floor=True)  # (C+1)^N * T = 256 * 6 > 1280
+    data = random_table(rng, 4, 3, floor=True)  # (C+1)^N = 256
     dm, cop = exact_models(data)
-    cfg = SamplerConfig(6, make_schedule("linear", 6), "diffusion_only")
-    with pytest.raises(CapExceededError):
-        induced_distribution(dm, cop, cfg)
-    out = induced_distribution(dm, cop, cfg, mc_samples=200)
-    assert out.method == "monte_carlo"
-    assert out.num_samples == 200
-    assert out.max_cell_stderr == pytest.approx(math.sqrt(0.25 / 200))
+    at_cap = induced_distribution(dm, cop, SamplerConfig(5, make_schedule("linear", 5), mode))
+    assert at_cap.method == "exact"  # 256 * 5 = 1280 cells, the cap itself
+    assert at_cap.table.probs.sum() == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(CapExceededError, match=r"\(C\+1\)\^N \* T = 1536 exceeds the exact cap 1280$"):
+        induced_distribution(dm, cop, SamplerConfig(6, make_schedule("linear", 6), mode))
 
 
 def test_sweep_without_a_needed_model_raises():
@@ -548,17 +547,6 @@ def test_sweep_checks_every_cell_before_computing_a_bound(monkeypatch):
     monkeypatch.setattr(harness, "elbo_bound", lambda data, sched: 0.0)
     [row] = run_sweep(big, None, cop, ["ar_only"], [40], [1.0])
     assert row.kl_to_data == pytest.approx(0.0, abs=1e-12)
-
-
-def test_induced_monte_carlo_agrees_with_exact_within_3_sigma():
-    data = correlated_pair()
-    dm, cop = exact_models(data)
-    cfg = SamplerConfig(2, make_schedule("linear", 2), "dcd", seed=17)
-    exact = induced_distribution(dm, cop, cfg).table
-    draws = 20_000
-    mc = induced_distribution(dm, cop, cfg, mc_samples=draws).table
-    sigma = np.sqrt(exact.probs * (1 - exact.probs) / draws)
-    assert np.all(np.abs(mc.probs - exact.probs) <= 3 * sigma + 1e-12)
 
 
 def test_dcd_beats_diffusion_only_at_one_step():

@@ -56,8 +56,10 @@ def models(n: int, c: int, seed: int = 1):
     return DiffusionMarginalModel.exact(data), ARCopulaModel.exact(data)
 
 
-def config(mode: str, steps: int, chunk: int = 1, beta: float = 1.0) -> SamplerConfig:
-    return SamplerConfig(steps, make_schedule("linear", steps, chunk_size=chunk), mode, beta, chunk)
+def config(
+    mode: str, steps: int, chunk: int = 1, beta: float = 1.0, family: str = "linear"
+) -> SamplerConfig:
+    return SamplerConfig(steps, make_schedule(family, steps, chunk_size=chunk), mode, beta, chunk)
 
 
 def steps_under_cap(n: int, c: int) -> list[int]:
@@ -83,13 +85,14 @@ def test_dense_law_matches_enumeration_at_every_t_under_the_cap(n, c, mode):
         assert max_gap(dm, cop, config(mode, steps)) <= TOL, steps
 
 
+@pytest.mark.parametrize("family", ["linear", "log-linear"])
 @pytest.mark.parametrize("beta", BETAS)
 @pytest.mark.parametrize("chunk", CHUNKS)
 @pytest.mark.parametrize("mode", DENSE_MODES)
 @pytest.mark.parametrize("n, c", SHAPES)
-def test_dense_law_matches_enumeration_across_chunks_and_betas(n, c, mode, chunk, beta):
+def test_dense_law_matches_enumeration_across_chunks_and_betas(n, c, mode, chunk, beta, family):
     dm, cop = models(n, c, seed=2)
-    assert max_gap(dm, cop, config(mode, 2, chunk, beta)) <= TOL
+    assert max_gap(dm, cop, config(mode, 2, chunk, beta, family)) <= TOL
 
 
 def test_induced_distribution_enumerates_no_state(monkeypatch):

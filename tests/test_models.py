@@ -164,18 +164,19 @@ def test_pattern_rows_equal_the_per_state_queries_at_every_state(n, c):
         dm, cop = DiffusionMarginalModel.exact(data), ARCopulaModel.exact(data)
         for tokens in itertools.product(range(c + 1), repeat=n):
             x_next = SequenceState(tokens, 1, data.alphabet)
-            masked = tuple(tok == c for tok in tokens)
+            unmasked = x_next.unmasked_positions
             full = query(dm_marginals_full, dm, x_next)
             for i in x_next.masked_positions:
                 # row i's own context: the tokens left of i, the rest masked
                 left = SequenceState(tokens[:i] + (c,) * (n - i), 1, data.alphabet)
                 causal = query(dm_marginals_causal, dm, left)
-                for rows, is_causal in ((full, False), (causal, True)):
-                    got = batched_row_at(pattern_rows(dm, masked, i, causal=is_causal), tokens, i)
+                below = tuple(j for j in unmasked if j < i)
+                for rows, given in ((full, unmasked), (causal, below)):
+                    got = batched_row_at(pattern_rows(dm, given, i), tokens, i)
                     want = 0.0 if isinstance(rows, SupportError) else rows[i]
                     assert np.abs(got - want).max() <= 1e-15
-        for i in range(n):  # with nothing masked, the causal rows are the copula's
-            cond = pattern_rows(cop, (False,) * n, i, causal=True)
+        for i in range(n):  # given every position below i, the rows are the copula's
+            cond = pattern_rows(cop, range(i), i)
             for prefix in itertools.product(range(c), repeat=i):
                 got = batched_row_at(cond, prefix + (0,) * (n - i), i)
                 try:

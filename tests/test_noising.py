@@ -25,13 +25,11 @@ from maskdiff.errors import (
 )
 from maskdiff.noising import (
     NoiseSchedule,
-    RemaskDistribution,
     SequenceState,
     aux_posterior,
     brute_reverse_posterior,
     forward_state_distribution,
     make_schedule,
-    positive_options,
     remask_kernel,
     renormalize_marginals,
 )
@@ -153,23 +151,13 @@ def test_aux_posterior_zero_evidence_raises():
 # remask kernel
 # ---------------------------------------------------------------------------
 
-def _drawing(rng: np.random.Generator):
-    """The sampler's re-mask pick: one double per chunk, re-mask iff u < ratio."""
-    return lambda row: (0 if rng.random() < row[0] else 1,)
-
-
 def test_remask_never_masks_at_t0():
     alphabet = Alphabet(3, 2)
     sched = make_schedule("linear", 2)
     mask = alphabet.mask_index
     x_next = SequenceState((mask, 1, mask), 1, alphabet)
-    kern = remask_kernel(x_next, sched)
-    rng = np.random.default_rng(48)
-    for _ in range(20):
-        [(out, _)] = kern.outcomes((0, 1, 1), _drawing(rng))
-        assert out.tokens == (0, 1, 1) and out.time == 0
-    support = kern.outcomes((0, 1, 1), positive_options)
-    assert len(support) == 1 and support[0][1] == pytest.approx(1.0)
+    [(out, p)] = remask_kernel(x_next, sched).outcomes((0, 1, 1))
+    assert out.tokens == (0, 1, 1) and out.time == 0 and p == pytest.approx(1.0)
 
 
 def test_remask_kernel_rejects_a_time_outside_the_schedule():
@@ -186,7 +174,7 @@ def test_remask_clamp_violation_rejected():
     sched = make_schedule("linear", 3)
     kern = remask_kernel(SequenceState((0, alphabet.mask_index), 2, alphabet), sched)
     with pytest.raises(ClampError):
-        kern.outcomes((1, 0), positive_options)
+        kern.outcomes((1, 0))
     with pytest.raises(ClampError):
         kern.rows((1, 0))
 
@@ -200,37 +188,17 @@ def test_remask_mixed_chunk_rejected():
     assert remask_kernel(x_next, make_schedule("linear", 2)).mask_chunks == ((0,), (2,), (3,))
 
 
-@pytest.mark.parametrize("ratio", [0.0, 0.5, 1.0])
-@pytest.mark.parametrize("chunk_size", [1, 2])
-def test_remask_draw_takes_one_double_per_masked_chunk(ratio, chunk_size):
-    alphabet = Alphabet(5, 2)
-    mask = alphabet.mask_index
-    x_next = SequenceState((mask, mask, 1, 1, mask), 2, alphabet)  # masks whole chunks
-    kern = remask_kernel(x_next, make_schedule("linear", 2, chunk_size=chunk_size))
-    kern = RemaskDistribution(x_next, ratio, kern.mask_chunks)
-    rng, twin = np.random.default_rng(7), np.random.default_rng(7)
-    [(out, _)] = kern.outcomes((0, 1, 1, 1, 0), _drawing(rng))
-    expected = [0, 1, 1, 1, 0]
-    for group in kern.mask_chunks:
-        if twin.random() < ratio:
-            for i in group:
-                expected[i] = mask
-    assert out.tokens == tuple(expected) and out.time == 1
-    assert rng.random() == twin.random()  # both streams stand at the same place
-
-
 def test_remask_outcomes_are_breadth_first_in_remask_keep_order():
     alphabet = Alphabet(3, 2)
     mask = alphabet.mask_index
     kern = remask_kernel(SequenceState((mask, 0, mask), 2, alphabet), make_schedule("linear", 2))
     ratio = kern.ratio
-    outs = kern.outcomes((1, 0, 1), positive_options)
+    outs = kern.outcomes((1, 0, 1))
     assert [x.tokens for x, _ in outs] == [(mask, 0, mask), (mask, 0, 1), (1, 0, mask), (1, 0, 1)]
     assert [p for _, p in outs] == [
         1.0 * ratio * ratio, 1.0 * ratio * (1.0 - ratio),
         1.0 * (1.0 - ratio) * ratio, 1.0 * (1.0 - ratio) * (1.0 - ratio),
     ]
-    assert [x.tokens for x, _ in kern.outcomes((1, 0, 1), lambda row: [1])] == [(1, 0, 1)]
 
 
 def test_remask_rows_are_distributions_with_exact_mask_mass():
@@ -245,7 +213,7 @@ def test_remask_rows_are_distributions_with_exact_mask_mass():
     assert rows[0, mask] == ratio
     assert rows[2, mask] == ratio
     assert rows[1, mask] == 0.0
-    total = sum(p for _, p in kern.outcomes((1, 0, 0), positive_options))
+    total = sum(p for _, p in kern.outcomes((1, 0, 0)))
     assert total == pytest.approx(1.0, abs=1e-14)
 
 
@@ -333,7 +301,7 @@ def test_factorization_identity_small_instance_grid():
                         for k, tokens in enumerate(lex_states(n, c)):
                             if aux.probs[k] <= 0.0:
                                 continue
-                            for state, p in kern.outcomes(tokens, positive_options):
+                            for state, p in kern.outcomes(tokens):
                                 combined[
                                     state_to_index(brute.alphabet, state.tokens)
                                 ] += aux.probs[k] * p
@@ -453,6 +421,6 @@ def test_sequence_state_invariants():
         SequenceState((2, 0), 0, alphabet)  # mask at time 0
     state = SequenceState((2, 1), 1, alphabet)
     with pytest.raises(InvalidDistributionError, match="out of range"):
-        remask_kernel(state, make_schedule("linear", 2)).outcomes((2, 1), positive_options)
+        remask_kernel(state, make_schedule("linear", 2)).outcomes((2, 1))
     assert state.masked_positions == (0,)
     assert state.unmasked_positions == (1,)
