@@ -13,8 +13,8 @@ builds no forward marginal and no posterior, and a step costs the same at
 any C. The negative ELBO of a factorized denoiser, which may give each
 state any rows, is evaluated state by state from `posterior_from_prior`
 (one forward prior per step), so the bound's equality case is checked to
-rounding error by two independent paths. A sweep builds each mode's
-pattern rows once and shares them across its (T, beta) cells.
+rounding error by two independent paths. A sweep builds the pattern rows
+once per model pair and shares them across every (mode, T, beta) cell.
 
 Sweeps draw no samples: given their config they are deterministic and the
 CSV is byte-stable (wall-clock timings are opt-in and empty by default).
@@ -70,7 +70,7 @@ from .sampler import (
 )
 
 DATA_KINDS = ("random_dirichlet", "correlated_phrases", "markov_chain")
-EXACT_INDUCED_CAP = 1280  # (C+1)**N * T; admits the N=4, C=3, T=4 corner
+EXACT_INDUCED_CAP = 1280  # (C+1)**N * T; admits the N=4, C=3, T=5 corner
 
 
 @dataclass(frozen=True)
@@ -258,12 +258,11 @@ def induced_distribution(
     pattern): see `_dense_law`. Raises CapExceededError when a dense mode's
     (C+1)^N * T passes EXACT_INDUCED_CAP."""
     _check_exact_cap(check_models(dm, copula, cfg.mode), cfg.mode, cfg.steps)
-    return _induced_exact(PatternRows(dm, copula, cfg.mode), cfg)
+    return _induced_exact(PatternRows(dm, copula), cfg)
 
 
 def _induced_exact(rows: PatternRows, cfg: SamplerConfig) -> InducedResult:
-    """The exact induced law of a checked cfg, from `rows` (built for
-    cfg.mode over the same models)."""
+    """The exact induced law of a checked cfg, from its models' `rows`."""
     if cfg.mode == MODE_AR_ONLY:
         return InducedResult(ar_chain_table(rows.copula), "exact")
     probs = _dense_law(rows, cfg)
@@ -367,13 +366,13 @@ def run_sweep(
             )
             _check_exact_cap(check_data_models(data, dm, copula, mode), mode, steps)
     bound_cache: dict[int, float] = {}
-    rows = {mode: PatternRows(dm, copula, mode) for mode in modes}
+    rows = PatternRows(dm, copula)
     results: list[ExperimentResult] = []
     for cfg in cells:
         if cfg.steps not in bound_cache:
             bound_cache[cfg.steps] = elbo_bound(data, cfg.schedule)
         start = time.perf_counter()
-        induced = _induced_exact(rows[cfg.mode], cfg)
+        induced = _induced_exact(rows, cfg)
         wall = (time.perf_counter() - start) * 1000.0
         results.append(
             ExperimentResult(

@@ -27,12 +27,13 @@ Each law has two forms here. `sample` walks it along one path: left to
 right, one category per masked position, then one re-mask decision per
 masked chunk. `dense_step` moves every state of a (C+1,)*N weight tensor
 one step on at once: states that share a mask pattern differ only in their
-clamped tokens, so one pass multiplies their rows (tensors from
-`PatternRows`) and re-masks them all. What a pattern's pass needs from the
-tensor's layout (its index tuples, its masked positions and chunks) is
-built once per (N, C, chunk_size); each step works out only its time check,
-its re-mask ratio and its fill. `step_frame` gives the same per-state
-frame to `sample`, under the same rules. Every exact law comes from it: the
+clamped tokens, so one pass multiplies their rows and re-masks them all.
+The rows come from one `PatternRows` per model pair, which serves every
+mode: cfg.mode picks the marginal or the fused rows. What a pattern's pass
+needs from the tensor's layout (its index tuples, its masked positions and
+chunks) is built once per (N, C, chunk_size); each step works out only its
+time check, its re-mask ratio and its fill. `step_frame` gives the same
+per-state frame to `sample`, under the same rules. Every exact law comes from it: the
 harness runs it from the all-mask state to time 0, the enumerators run it
 once from x_{t+1} alone (`enumerate_aux_distribution` stops before the
 re-mask), and the tests check it against a per-state walk of `StepLaw`s.
@@ -385,20 +386,18 @@ def _step_law(
 class PatternRows:
     """The content layer's rows for every state of a mask pattern, as N-axis
     tensors with the row along the drawn position's axis. No row depends on
-    time, and only the fused rows depend on beta, so one object serves
-    every (T, beta) cell of a mode: the marginal rows, V and the evidence
-    are built once per pattern and position, the copula rows once per
-    position (they read no mask pattern), and the fused rows once per beta
-    as well."""
+    the mode or on time, so one object serves every (mode, T, beta) cell of
+    a model pair: the marginal rows, V and the evidence are built once per
+    pattern and position, the copula rows once per position (they read no
+    mask pattern), and the fused rows once per beta as well."""
 
-    def __init__(self, dm: DiffusionMarginalModel | None, copula: ARCopulaModel | None,
-                 mode: str) -> None:
+    def __init__(self, dm: DiffusionMarginalModel | None, copula: ARCopulaModel | None) -> None:
         self.dm, self.copula = dm, copula
-        self.fused = mode != MODE_DIFFUSION_ONLY
         self._evidence: dict[tuple[bool, ...], np.ndarray] = {}
         self._copula: dict[int, np.ndarray] = {}
-        self._parts: dict[tuple[tuple[bool, ...], int], tuple[np.ndarray, ...]] = {}
-        self._rows: dict[tuple[tuple[bool, ...], int, float], tuple[np.ndarray, ...]] = {}
+        self._marginal: dict[tuple[tuple[bool, ...], int], tuple[np.ndarray, ...]] = {}
+        self._v: dict[tuple[tuple[bool, ...], int], np.ndarray] = {}
+        self._fused: dict[tuple[tuple[bool, ...], int, float], tuple[np.ndarray, ...]] = {}
 
     def evidence(self, masked: tuple[bool, ...]) -> np.ndarray:
         """Whether each state's unmasked tokens have mass under the marginal
@@ -408,35 +407,35 @@ class PatternRows:
             self._evidence[masked] = self.dm.table.tensor().sum(axis=axes, keepdims=True) > 0.0
         return self._evidence[masked]
 
-    def row(self, masked: tuple[bool, ...], i: int, beta: float) -> tuple[np.ndarray, ...]:
-        """(rows at masked position i under beta, where those rows have mass,
-        where their entries are positive)."""
-        if (masked, i) not in self._parts:
-            self._parts[masked, i] = self._beta_free(masked, i)
-        if not self.fused:  # the evidence check already covers these rows
-            return self._parts[masked, i]
-        if (masked, i, beta) not in self._rows:
-            cond, v = self._parts[masked, i]
-            weights = fused_weights(cond, v, beta)
+    def marginal(self, masked: tuple[bool, ...], i: int) -> tuple[np.ndarray, ...]:
+        """(the marginal rows at masked position i, True, their support):
+        diffusion_only's rows, whose mass the evidence check covers."""
+        if (masked, i) not in self._marginal:
+            full = pattern_rows(self.dm, tuple(j for j, m in enumerate(masked) if not m), i)
+            self._marginal[masked, i] = full, np.True_, full > 0.0
+        return self._marginal[masked, i]
+
+    def fused(self, masked: tuple[bool, ...], i: int, beta: float) -> tuple[np.ndarray, ...]:
+        """(the copula rows at masked position i fused with exp(beta * V),
+        where they have mass, where their entries are positive)."""
+        if (masked, i, beta) not in self._fused:
+            if i not in self._copula:
+                self._copula[i] = pattern_rows(self.copula, range(i), i).swapaxes(i, -1)
+            weights = fused_weights(self._copula[i], self._factors(masked, i), beta)
             total = weights.sum(axis=-1, keepdims=True)
             fused = np.divide(weights, total, out=np.zeros_like(weights), where=total > 0.0)
             fused = fused.swapaxes(-1, i)
-            self._rows[masked, i, beta] = fused, (total > 0.0).swapaxes(-1, i), fused > 0.0
-        return self._rows[masked, i, beta]
+            self._fused[masked, i, beta] = fused, (total > 0.0).swapaxes(-1, i), fused > 0.0
+        return self._fused[masked, i, beta]
 
-    def _beta_free(self, masked: tuple[bool, ...], i: int) -> tuple[np.ndarray, ...]:
-        """(the marginal rows, True, their support) unfused; (copula rows, V)
-        with the row on the last axis when fused."""
-        unmasked = tuple(j for j, m in enumerate(masked) if not m)
-        full = pattern_rows(self.dm, unmasked, i)
-        if not self.fused:
-            return full, np.True_, full > 0.0
-        causal = pattern_rows(self.dm, tuple(j for j in unmasked if j < i), i)
-        v = rankwise_update(*np.broadcast_arrays(full, causal))
-        if i not in self._copula:
-            cond = pattern_rows(self.copula, range(i), i)
-            self._copula[i] = cond.swapaxes(i, -1)
-        return self._copula[i], v.swapaxes(i, -1)
+    def _factors(self, masked: tuple[bool, ...], i: int) -> np.ndarray:
+        """V at masked position i, from the causal rows to the marginal ones,
+        with the row on the last axis."""
+        if (masked, i) not in self._v:
+            full = self.marginal(masked, i)[0]
+            causal = pattern_rows(self.dm, tuple(j for j, m in enumerate(masked[:i]) if not m), i)
+            self._v[masked, i] = rankwise_update(*np.broadcast_arrays(full, causal)).swapaxes(i, -1)
+        return self._v[masked, i]
 
 
 _Remask = tuple[float, tuple[tuple[int, ...], ...]]  # (ratio, masked chunks)
@@ -473,7 +472,8 @@ def _content_layers(
         for i in frame.positions:
             if i >= fill:
                 break
-            row, ok, support = rows.row(frame.masked, i, cfg.beta)
+            row, ok, support = (rows.marginal(frame.masked, i) if cfg.mode == MODE_DIFFUSION_ONLY
+                                else rows.fused(frame.masked, i, cfg.beta))
             if (p & ~ok).any():
                 raise SupportError(f"fused row at position {i} has no mass")
             w, p = w * row, p & support
@@ -589,14 +589,14 @@ def _point_mass(
     dm: DiffusionMarginalModel | None, copula: ARCopulaModel | None, x_next: SequenceState,
     cfg: SamplerConfig,
 ) -> tuple[PatternRows, np.ndarray, np.ndarray]:
-    """cfg.mode's pattern rows and (weights, present) with all mass on x_next."""
+    """The models' pattern rows and (weights, present), all mass on x_next."""
     alphabet = check_models(dm, copula, cfg.mode)
     if x_next.alphabet != alphabet:
         raise AlphabetMismatchError("model table and state disagree on the alphabet")
     states = alphabet.with_mask()  # CapExceededError past ENUMERATION_CAP states
     weights = np.zeros((states.num_categories,) * states.num_positions)
     weights[x_next.tokens] = 1.0
-    return PatternRows(dm, copula, cfg.mode), weights, weights > 0.0
+    return PatternRows(dm, copula), weights, weights > 0.0
 
 
 def enumerate_aux_distribution(

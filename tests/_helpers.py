@@ -19,6 +19,7 @@ from maskdiff.dist import (
     position_sum,
     state_to_index,
 )
+from maskdiff.harness import SyntheticSpec, gen_data
 from maskdiff.iproj import IPF_TOL, FactorMatrix, IprojReport
 from maskdiff.models import ARCopulaModel, DiffusionMarginalModel
 from maskdiff.errors import InvalidDistributionError, SupportError
@@ -46,6 +47,15 @@ def zero_table(rng: np.random.Generator, n: int, c: int) -> JointTable:
     raw[rng.random(c**n) < 1 / 3] = 0.0
     raw[rng.integers(c**n)] += 1.0  # keep some mass
     return JointTable(Alphabet(n, c), raw / raw.sum())
+
+
+def correlated_pair(strength: float = 0.95) -> JointTable:
+    return gen_data(SyntheticSpec("correlated_phrases", 2, 2, strength))
+
+
+def exact_models(table: JointTable):
+    floored = table.floored()
+    return DiffusionMarginalModel.exact(floored), ARCopulaModel.exact(floored)
 
 
 def random_rows(rng: np.random.Generator, n: int, c: int, pad: float = 0.05) -> MarginalSet:

@@ -53,16 +53,14 @@ from maskdiff.noising import (
 )
 from maskdiff.sampler import SamplerConfig
 
-from _helpers import per_pattern_bound, random_rows, random_table, zero_table
-
-
-def correlated_pair(strength: float = 0.95) -> JointTable:
-    return gen_data(SyntheticSpec("correlated_phrases", 2, 2, strength))
-
-
-def exact_models(table: JointTable):
-    floored = table.floored()
-    return DiffusionMarginalModel.exact(floored), ARCopulaModel.exact(floored)
+from _helpers import (
+    correlated_pair,
+    exact_models,
+    per_pattern_bound,
+    random_rows,
+    random_table,
+    zero_table,
+)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import warnings
 import numpy as np
 import pytest
 
-from maskdiff import sampler as sampler_mod
+from maskdiff import harness, sampler as sampler_mod
 from maskdiff.dist import Alphabet, JointTable
 from maskdiff.errors import AlphabetMismatchError, MaskDiffError, SupportError
 from maskdiff.harness import EXACT_INDUCED_CAP, SyntheticSpec, gen_data, induced_distribution
@@ -93,6 +93,24 @@ def test_dense_law_matches_enumeration_at_every_t_under_the_cap(n, c, mode):
 def test_dense_law_matches_enumeration_across_chunks_and_betas(n, c, mode, chunk, beta, family):
     dm, cop = models(n, c, seed=2)
     assert max_gap(dm, cop, config(mode, 2, chunk, beta, family)) <= TOL
+
+
+@pytest.mark.parametrize("chunk", (1, 2))
+@pytest.mark.parametrize("n, c", ((3, 3), (4, 2)))
+def test_one_row_source_serves_every_cell_in_either_order(n, c, chunk):
+    """A sweep evaluates all its (mode, T, beta) cells from one PatternRows:
+    each law's bytes equal the cell's own induced_distribution, whichever
+    cells filled the rows before it. One source runs the sweep's order and
+    then its reverse; a second starts cold on the reverse."""
+    dm, cop = models(n, c)
+    cells = [config(mode, steps, chunk, beta) for mode in sorted(MODES)
+             for steps in (1, 2, 3) for beta in (0.0, 1.0, 2.5)]
+    own = [induced_distribution(dm, cop, cfg).table.probs.tobytes() for cfg in cells]
+    sweep = list(range(len(cells)))
+    for order in (sweep + sweep[::-1], sweep[::-1]):
+        rows = sampler_mod.PatternRows(dm, cop)
+        for k in order:
+            assert harness._induced_exact(rows, cells[k]).table.probs.tobytes() == own[k], cells[k]
 
 
 def test_induced_distribution_enumerates_no_state(monkeypatch):

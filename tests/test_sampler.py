@@ -10,7 +10,6 @@ import pytest
 
 from maskdiff.dist import (
     Alphabet,
-    JointTable,
     product_table,
     sample_states,
     state_to_index,
@@ -50,16 +49,7 @@ from maskdiff.sampler import (
     sample,
 )
 
-from _helpers import HUGE_BETAS, random_rows, random_table
-
-
-def correlated_pair() -> JointTable:
-    return gen_data(SyntheticSpec("correlated_phrases", 2, 2, 0.95))
-
-
-def exact_models(table: JointTable):
-    floored = table.floored()
-    return DiffusionMarginalModel.exact(floored), ARCopulaModel.exact(floored)
+from _helpers import HUGE_BETAS, correlated_pair, exact_models, random_rows, random_table
 
 
 def config(mode: str, steps: int, beta: float = 1.0, seed: int = 0, chunk: int = 1):
@@ -435,7 +425,7 @@ def test_dense_step_rejects_a_mixed_chunk_among_whole_chunk_states(mode):
     dm, cop = exact_models(data)
     mask = data.alphabet.mask_index
     good, mixed = (mask, mask, 0, 1), (mask, 0, mask, mask)  # chunk (0, 1) half masked
-    rows = sampler_mod.PatternRows(dm, cop, mode)
+    rows = sampler_mod.PatternRows(dm, cop)
     cfg = config(mode, 2, chunk=2)
     sampler_mod.dense_step(rows, *_dense_start(data.alphabet, [good]), 2, cfg)
     with pytest.raises(ClampError, match="mixed chunk"):
@@ -445,7 +435,7 @@ def test_dense_step_rejects_a_mixed_chunk_among_whole_chunk_states(mode):
 @pytest.mark.parametrize("mode", ["dcd", "diffusion_only", "dcd_ar_unmask"])
 def test_dense_step_rejects_a_time_outside_the_schedule(mode):
     dm, cop = exact_models(correlated_pair())
-    rows = sampler_mod.PatternRows(dm, cop, mode)
+    rows = sampler_mod.PatternRows(dm, cop)
     for time, state in ((0, (0, 1)), (3, (dm.alphabet.mask_index,) * 2)):
         with pytest.raises(ScheduleError, match=r"outside \[1, 2\]"):
             sampler_mod.dense_step(rows, *_dense_start(dm.alphabet, [state]), time, config(mode, 2))
